@@ -25,11 +25,10 @@ CSV_DIGITS = "{:.12g}"
 
 
 def _threads():
-    """Advisory concurrency cap from MAXFORMS_THREADS.
+    """MAXFORMS_THREADS, validated and echoed in every JSON config block.
 
-    BLAS pools read their environment at import time, so this only seeds the
-    usual knobs when they are still unset; the value is echoed in every JSON
-    config block either way.
+    The value does not cap BLAS: its thread pools read their environment when
+    numpy is imported, before any subcommand runs.
     """
     raw = os.environ.get("MAXFORMS_THREADS")
     if raw is None:
@@ -40,8 +39,6 @@ def _threads():
         raise ValueError("MAXFORMS_THREADS must be an integer") from None
     if n < 1:
         raise ValueError("MAXFORMS_THREADS must be positive")
-    for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(key, str(n))
     return n
 
 
@@ -175,17 +172,6 @@ def _run_eigen1d(args, threads) -> int:
     return 1 if args.strict and drift > gate else 0
 
 
-def _reference_with_labels(q: int, count: int):
-    """Ascending (lambda, n, m, omega) reference rows merged across orders."""
-    rows = []
-    for n in range(1, count + 5):
-        table = zeros_j(n, count) if q == 0 else zeros_jprime(n, count)
-        for m, z in enumerate(table.zeros, start=1):
-            rows.append((float(z) ** 2, n, m, float(z)))
-    rows.sort()
-    return rows[:count]
-
-
 def _run_eigen2d(args, threads) -> int:
     M_r, M_phi = args.grid
     if args.q == 0:
@@ -193,12 +179,8 @@ def _run_eigen2d(args, threads) -> int:
         lambdas = spectrum2d.zaremba2d_eigensolve(M_r, M_phi, args.modes).lambdas
     else:
         route = "radial"
-        pool = []
-        for n in range(1, args.modes + 5):
-            sol = spectrum2d.radial_eigensolve(n, M_r, args.modes, bc="neumann")
-            pool.extend(float(v) for v in sol.lambdas)
-        lambdas = np.sort(np.array(pool))[: args.modes]
-    reference = _reference_with_labels(args.q, args.modes)
+        lambdas = spectrum2d.radial_spectrum(M_r, args.modes, bc="neumann")
+    reference = spectrum2d.reference_modes(args.q, args.modes)
     rel_err = np.array(
         [abs(lam - ref[0]) / ref[0] for lam, ref in zip(lambdas, reference)]
     )

@@ -9,28 +9,26 @@ is what lets the first-order system residuals sit at evaluation accuracy
 instead of at a finite-difference floor.
 
 The discrete side has two routes: a finite-volume radial solver per angular
-order, and a full two-dimensional tensor solve with the mixed boundary
-conditions (value pinned on the outer arc and on one straight edge, natural on
-the other edge).
+order, and a two-dimensional mixed-boundary tensor solve, which the fast
+diagonalization of Lynch, Rice & Thomas (Numer. Math. 6, 1964) separates
+exactly into radial solves.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import eigsh
 
 from .bessel import eval_j, eval_j_prime_scaled, zeros_j, zeros_jprime
 from .exterior import FieldForm, ScalarField
-from .spectrum1d import analytic_pair
+from .spectrum1d import analytic_pair, fd_eigenvalue_closed_form
 
 HALF_ARC = math.pi
 MIN_GRID = 16
-DENSE_GUARD = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +477,14 @@ def coeff_ode_residuals(
 @dataclass
 class RadialSolve:
     lambdas: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
     nodes: np.ndarray
     spacing: float
 
 
-def radial_eigensolve(
-    n: int, M: int, count: int, bc: str = "dirichlet"
-) -> RadialSolve:
-    """Finite-volume eigenvalues of the order nu = n - 1/2 radial operator.
+def _radial_kernel(angular, M: int, count: int, bc: str, vectors=False) -> RadialSolve:
+    """Finite-volume radial eigenvalues (eigenvectors on request) with angular
+    term angular / r^2: nu^2 for order nu, or a discrete angular eigenvalue.
 
     Cell centers r_i = (i - 1/2) h on (0, 1); the r = 0 face carries zero
     flux weight so no condition is imposed there.  At r = 1 an odd-reflection
@@ -499,25 +496,49 @@ def radial_eigensolve(
         raise ValueError("count must be between 1 and M")
     if bc not in ("dirichlet", "neumann"):
         raise ValueError("bc must be 'dirichlet' or 'neumann'")
-    nu = n - 0.5
     h = 1.0 / M
     idx = np.arange(1, M + 1, dtype=float)
     r = (idx - 0.5) * h
     diag = 2.0 * idx - 1.0
     diag[-1] = 3.0 * M - 1.0 if bc == "dirichlet" else M - 1.0
-    diag = diag + nu**2 * h / r
-    off = -idx[:-1]
+    diag = diag + angular * h / r
     # symmetric similarity with the cell mass diag(h r_i)
     mass = h * r
-    lam, vec = eigh_tridiagonal(
-        diag / mass,
-        off / (h * np.sqrt(r[:-1] * r[1:])),
-        select="i",
-        select_range=(0, count - 1),
-    )
-    vectors = vec / np.sqrt(mass)[:, None]
-    vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
-    return RadialSolve(lambdas=lam, vectors=vectors, nodes=r, spacing=h)
+    lam = eigh_tridiagonal(diag / mass, -idx[:-1] / (h * np.sqrt(r[:-1] * r[1:])),
+                           eigvals_only=not vectors, select="i", select_range=(0, count - 1))
+    vec = None
+    if vectors:
+        lam, vec = lam
+        vec = vec / np.sqrt(mass)[:, None]
+        vec /= np.linalg.norm(vec, axis=0, keepdims=True)
+    return RadialSolve(lambdas=lam, vectors=vec, nodes=r, spacing=h)
+
+
+def radial_eigensolve(n: int, M: int, count: int, bc: str = "dirichlet") -> RadialSolve:
+    """Finite-volume eigenpairs of the order nu = n - 1/2 radial operator."""
+    return _radial_kernel((n - 0.5) ** 2, M, count, bc, vectors=True)
+
+
+def _merge_orders(count: int, values_of) -> list:
+    """The count smallest entries over angular orders k = 1, 2, ...
+
+    values_of(k) gives order k's ascending entries (values, or tuples led by the
+    value), empty past the last order.  Orders stop once order k's lowest entry
+    is above the count-th smallest so far: exact, since zeros of J_nu grow with
+    nu (DLMF 10.21) and discrete radial eigenvalues with the angular eigenvalue.
+    """
+    pool = []
+    for k in itertools.count(1):
+        entries = values_of(k)
+        if len(entries) == 0 or (len(pool) == count and entries[0] > pool[-1]):
+            return pool
+        pool = sorted([*pool, *entries])[:count]
+
+
+def radial_spectrum(M: int, count: int, bc: str = "dirichlet") -> np.ndarray:
+    """Lowest radial-solver eigenvalues merged across angular orders n."""
+    values_of = lambda n: _radial_kernel((n - 0.5) ** 2, M, count, bc).lambdas
+    return np.array(_merge_orders(count, values_of))
 
 
 @dataclass
@@ -531,59 +552,37 @@ def zaremba2d_eigensolve(M_r: int, M_phi: int, count: int = 4) -> Zaremba2DSolve
     """Lowest eigenvalues of the half-disk scalar problem with mixed edges.
 
     Tensor finite volumes: value pinned on the outer arc and on the phi = pi
-    edge (odd reflection), natural on the phi = 0 edge (mirror).  Assembled as
-    Kronecker sums and solved by shift-invert Lanczos around zero.
+    edge (odd reflection), natural on the phi = 0 edge (mirror).  The angular
+    factor of the Kronecker-sum operator is the spectrum1d operator, whose
+    eigenvalues mu_k are closed-form; diagonalizing it (Lynch, Rice & Thomas,
+    Numer. Math. 6, 1964) leaves exactly the radial problems with nu^2 -> mu_k.
     """
     if M_r < MIN_GRID or M_phi < MIN_GRID:
         raise ValueError(f"each direction needs at least {MIN_GRID} cells")
-    if M_r * M_phi > DENSE_GUARD:
-        raise ValueError("grid exceeds the factorization guard; reduce it")
-    if count < 1:
-        raise ValueError("count must be positive")
+    if not 1 <= count <= M_r * M_phi:
+        raise ValueError("count must be between 1 and M_r * M_phi")
 
-    h_r = 1.0 / M_r
-    h_phi = HALF_ARC / M_phi
-    idx = np.arange(1, M_r + 1, dtype=float)
-    r = (idx - 0.5) * h_r
+    def values_of(k):
+        if k > M_phi:
+            return ()
+        mu = fd_eigenvalue_closed_form(M_phi, k)
+        return _radial_kernel(mu, M_r, min(count, M_r), "dirichlet").lambdas
 
-    diag_r = 2.0 * idx - 1.0
-    diag_r[-1] = 3.0 * M_r - 1.0  # outer arc pinned
-    K_r = sparse.diags(
-        [-idx[:-1], diag_r, -idx[:-1]], offsets=(-1, 0, 1), format="csr"
-    )
-
-    diag_phi = np.full(M_phi, 2.0)
-    diag_phi[0] = 1.0  # mirror edge
-    diag_phi[-1] = 3.0  # pinned edge
-    off_phi = np.full(M_phi - 1, -1.0)
-    S_phi = sparse.diags(
-        [off_phi, diag_phi, off_phi], offsets=(-1, 0, 1), format="csr"
-    ) / h_phi
-
-    I_phi = sparse.identity(M_phi, format="csr")
-    A = sparse.kron(K_r, h_phi * I_phi) + sparse.kron(
-        sparse.diags(h_r / r), S_phi
-    )
-    A = (A + A.T) * 0.5
-    B = sparse.diags(np.kron(r * h_r, np.full(M_phi, h_phi)))
-
-    vals = eigsh(
-        A.tocsc(), k=count, M=B.tocsc(), sigma=0.0, which="LM",
-        return_eigenvectors=False,
-    )
-    vals = np.sort(vals)
-    return Zaremba2DSolve(lambdas=vals, shape=(M_r, M_phi), unknowns=M_r * M_phi)
+    lambdas = np.array(_merge_orders(count, values_of))
+    return Zaremba2DSolve(lambdas=lambdas, shape=(M_r, M_phi), unknowns=M_r * M_phi)
 
 
-def reference_eigenvalues(q: int, count: int, n_max: int | None = None) -> np.ndarray:
+def reference_modes(q: int, count: int) -> list:
+    """Ascending (lambda, n, m, omega) rows of the exact spectrum."""
+    zeros = zeros_j if q == 0 else zeros_jprime
+    rows_of = lambda n: [(float(z) ** 2, n, m, float(z))
+                         for m, z in enumerate(zeros(n, count).zeros, 1)]
+    return _merge_orders(count, rows_of)
+
+
+def reference_eigenvalues(q: int, count: int) -> np.ndarray:
     """Ascending squared resonances across angular orders (the exact targets)."""
-    if n_max is None:
-        n_max = count + 4
-    vals = []
-    for n in range(1, n_max + 1):
-        table = zeros_j(n, count) if q == 0 else zeros_jprime(n, count)
-        vals.extend(float(z) ** 2 for z in table.zeros)
-    return np.sort(np.array(vals))[:count]
+    return np.array([row[0] for row in reference_modes(q, count)])
 
 
 # ---------------------------------------------------------------------------

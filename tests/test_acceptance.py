@@ -244,23 +244,15 @@ def test_criterion_05_bessel_zero_oracles():
 # -- 6 -------------------------------------------------------------------------
 
 
-def _merged_radial(modes: int, M: int, bc: str) -> np.ndarray:
-    pool = []
-    for n in range(1, modes + 5):
-        sol = spectrum2d.radial_eigensolve(n, M, modes, bc=bc)
-        pool.extend(float(v) for v in sol.lambdas)
-    return np.sort(np.array(pool))[:modes]
-
-
 def test_criterion_06_half_disk_three_routes():
     failures = []
     targets = {0: spectrum2d.reference_eigenvalues(0, 4),
                1: spectrum2d.reference_eigenvalues(1, 4)}
 
-    rel_d = np.abs(_merged_radial(4, 512, "dirichlet") - targets[0]) / targets[0]
+    rel_d = np.abs(spectrum2d.radial_spectrum(512, 4, "dirichlet") - targets[0]) / targets[0]
     if np.max(rel_d) > 0.01:
         failures.append(f"radial dirichlet rel err {np.max(rel_d):.3e} > 1%")
-    rel_n = np.abs(_merged_radial(4, 512, "neumann") - targets[1]) / targets[1]
+    rel_n = np.abs(spectrum2d.radial_spectrum(512, 4, "neumann") - targets[1]) / targets[1]
     if np.max(rel_n) > 0.01:
         failures.append(f"radial neumann rel err {np.max(rel_n):.3e} > 1%")
 
@@ -386,15 +378,6 @@ def test_criterion_09_regularity_classification():
 # -- 10 ------------------------------------------------------------------------
 
 
-def _lowest_labels(q: int, count: int):
-    rows = []
-    for n in range(1, count + 5):
-        table = zeros_j(n, count) if q == 0 else zeros_jprime(n, count)
-        rows.extend((float(z) ** 2, n, m) for m, z in enumerate(table.zeros, start=1))
-    rows.sort()
-    return [(n, m) for _, n, m in rows[:count]]
-
-
 def test_criterion_10_orthonormality():
     failures = []
     dev1 = float(spectrum1d.orthonormality_gram(count=10))
@@ -403,7 +386,7 @@ def test_criterion_10_orthonormality():
 
     devs2 = {}
     for q in (0, 1):
-        labels = _lowest_labels(q, 6)
+        labels = [(n, m) for _, n, m, _ in spectrum2d.reference_modes(q, 6)]
         for role in ("E", "H"):
             modes = [spectrum2d.analytic_eigenform(q, n, m, role) for n, m in labels]
             G = spectrum2d.gram_matrix_2d(modes, M_r=400, M_phi=400)

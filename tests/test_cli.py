@@ -90,6 +90,22 @@ def test_eigen2d_strict_gate_trips_on_coarse_grid(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv,modes",
+    [(["--q", "1", "--modes", "12"], 12), (["--q", "0", "--grid", "1024,1024"], 4)],
+)
+def test_eigen2d_serves_more_modes_and_large_grids(argv, modes, capsys):
+    code, out = run(["eigen2d", *argv, "--strict"], capsys)
+    assert code == 0
+    assert len(rows_of(out)) == modes
+
+
+def test_eigen2d_order_cap_still_fails_loudly(capsys):
+    code = cli.main(["eigen2d", "--q", "1", "--modes", "26"])
+    assert code == 2
+    assert "above cap" in capsys.readouterr().err
+
+
 def test_identities_residuals_all_zero(capsys):
     code, out = run(["identities", "--N", "4", "--q", "2", "--strict"], capsys)
     assert code == 0

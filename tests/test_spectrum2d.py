@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
 from maxforms.bessel import eval_j, zeros_j, zeros_jprime
 from maxforms.exterior import codiff, ext_d
@@ -19,7 +21,9 @@ from maxforms.spectrum2d import (
     gram_matrix_2d,
     maxwell_residual_2d,
     radial_eigensolve,
+    radial_spectrum,
     reference_eigenvalues,
+    reference_modes,
     to_field_form,
     zaremba2d_eigensolve,
 )
@@ -214,6 +218,59 @@ def test_two_dimensional_errors_decrease_under_refinement():
     assert np.all(rel[1] < rel[0])
 
 
+def _kronecker_oracle(M_r, M_phi, count):
+    """The 2D operator assembled as Kronecker sums, shift-invert Lanczos at 0."""
+    h_r, h_phi = 1.0 / M_r, math.pi / M_phi
+    idx = np.arange(1, M_r + 1, dtype=float)
+    r = (idx - 0.5) * h_r
+    diag_r = 2.0 * idx - 1.0
+    diag_r[-1] = 3.0 * M_r - 1.0  # outer arc pinned
+    K_r = sparse.diags([-idx[:-1], diag_r, -idx[:-1]], offsets=(-1, 0, 1))
+    diag_phi = np.full(M_phi, 2.0)
+    diag_phi[0] = 1.0  # mirror edge
+    diag_phi[-1] = 3.0  # pinned edge
+    off_phi = np.full(M_phi - 1, -1.0)
+    S_phi = sparse.diags([off_phi, diag_phi, off_phi], offsets=(-1, 0, 1)) / h_phi
+    A = sparse.kron(K_r, h_phi * sparse.identity(M_phi)) + sparse.kron(
+        sparse.diags(h_r / r), S_phi
+    )
+    B = sparse.diags(np.kron(r * h_r, np.full(M_phi, h_phi)))
+    vals = eigsh(A.tocsc(), k=count, M=B.tocsc(), sigma=0.0, which="LM",
+                 return_eigenvectors=False)
+    return np.sort(vals)
+
+
+@pytest.mark.parametrize(
+    "M_r,M_phi,count",
+    [(64, 64, 4), (64, 64, 8), (128, 128, 4), (128, 128, 8), (96, 48, 6), (16, 64, 20)],
+)
+def test_separable_solve_matches_kronecker_oracle(M_r, M_phi, count):
+    sol = zaremba2d_eigensolve(M_r, M_phi, count)
+    oracle = _kronecker_oracle(M_r, M_phi, count)
+    assert np.max(np.abs(sol.lambdas - oracle) / oracle) <= 1e-9
+    assert sol.unknowns == M_r * M_phi
+
+
+def _brute_force_merge(count, rows_of):
+    """The former merge: every order up to count + 4, sorted together."""
+    rows = [row for n in range(1, count + 5) for row in rows_of(n)]
+    return sorted(rows)[:count]
+
+
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("count", range(1, 9))
+def test_order_stop_rule_matches_brute_force(q, count):
+    zeros = zeros_j if q == 0 else zeros_jprime
+    labeled = _brute_force_merge(count, lambda n: [
+        (float(z) ** 2, n, m, float(z)) for m, z in enumerate(zeros(n, count).zeros, 1)
+    ])
+    assert reference_modes(q, count) == labeled
+    radial = _brute_force_merge(
+        count, lambda n: radial_eigensolve(n, 256, count, bc="neumann").lambdas
+    )
+    assert np.array_equal(radial_spectrum(256, count, bc="neumann"), radial)
+
+
 def test_reference_eigenvalues():
     ref = reference_eigenvalues(0, 4)
     expected = np.array(
@@ -267,7 +324,10 @@ def test_validation():
     with pytest.raises(ValueError):
         zaremba2d_eigensolve(8, 64)
     with pytest.raises(ValueError):
-        zaremba2d_eigensolve(2000, 2000)
+        zaremba2d_eigensolve(16, 16, 16 * 16 + 1)
+    ref = reference_eigenvalues(0, 4)
+    large = zaremba2d_eigensolve(2000, 2000).lambdas
+    assert np.max(np.abs(large - ref) / ref) <= 1e-2
     with pytest.raises(ValueError):
         gram_matrix_2d(
             [analytic_eigenform(0, 1, 1, "E"), analytic_eigenform(0, 1, 1, "H")]
