@@ -1,10 +1,18 @@
 """Half-integer Bessel functions J_(n-1/2) and their zero tables.
 
-Evaluation seeds the closed forms for orders 1/2 and 3/2 and climbs with the
-three-term recurrence while that is stable (x comfortably above the order);
-below that the ascending power series takes over, since upward recurrence
-against a decaying solution loses all relative accuracy.  Zeros are found by a
-sign scan in pi/8 steps followed by plain bisection; nothing is tabulated.
+Evaluation has two routes that meet at x = nu = n - 1/2.  At or above the
+order, the closed forms for orders 1/2 and 3/2 seed the upward three-term
+recurrence, which is stable there.  Below the order, Miller's backward
+recurrence in ratio form (Gautschi, SIAM Rev. 9, 1967; DLMF 3.6(iii)) runs
+rho_k = J_(k+1/2) / J_(k-1/2) down from far above the order and multiplies up
+from the larger of the two seeds; ratios cannot overflow, so no order limit is
+needed.
+
+Zeros come from one sign scan on a pi/8 grid evaluated as a single array,
+followed by bisection of all brackets at once.  The scan starts at nu: by
+DLMF 10.21.3, nu <= j'_(nu,1) < j_(nu,1), so no zero of either kind lies
+below it, and zeros of either kind are more than pi/8 apart.  Nothing is
+tabulated.
 """
 
 from __future__ import annotations
@@ -14,33 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_ORDER_CAP = 12
 _SCAN_STEP = math.pi / 8.0
-_BISECT_WIDTH = 1e-13
+_BISECT_STEPS = math.ceil(math.log2(_SCAN_STEP / 1e-13))  # brackets below 1e-13
 
 
-class BracketExhausted(RuntimeError):
-    """The sign scan ran out of window before finding the requested zeros."""
-
-
-def _check_order(n: int, order_cap: int):
+def _check_order(n: int):
     if n < 1:
         raise ValueError("orders are labeled n >= 1 (order n - 1/2)")
-    if n > order_cap:
-        raise ValueError(f"order label {n} above cap {order_cap}")
-
-
-def _series(nu: float, x: np.ndarray, terms: int = 60) -> np.ndarray:
-    """Ascending series, stable for x below the order."""
-    y = 0.25 * x * x
-    total = np.zeros_like(x)
-    term = np.exp(nu * np.log(0.5 * x) - math.lgamma(nu + 1.0))
-    for k in range(terms):
-        total = total + term
-        term = term * (-y) / ((k + 1.0) * (nu + k + 1.0))
-        if np.all(np.abs(term) <= 1e-18 * (np.abs(total) + 1e-300)):
-            break
-    return total
 
 
 def _seed_half(x):
@@ -51,7 +39,8 @@ def _seed_three_half(x):
     return np.sqrt(2.0 / (np.pi * x)) * (np.sin(x) / x - np.cos(x))
 
 
-def _recurrence(n: int, x: np.ndarray) -> np.ndarray:
+def _upward(n: int, x: np.ndarray) -> np.ndarray:
+    """Upward recurrence from the closed-form seeds, stable for x >= nu."""
     jm, j = _seed_half(x), _seed_three_half(x)
     if n == 1:
         return jm
@@ -62,37 +51,42 @@ def _recurrence(n: int, x: np.ndarray) -> np.ndarray:
     return j
 
 
-def eval_j(n: int, x, order_cap: int = DEFAULT_ORDER_CAP):
+def _miller(n: int, x: np.ndarray) -> np.ndarray:
+    """Miller's backward recurrence in ratio form, stable for x < nu."""
+    if n == 1:
+        return _seed_half(x)
+    rho = np.zeros_like(x)
+    tail = np.ones_like(x)  # rho_2 * ... * rho_(n-1)
+    for k in range(n + 20 + math.isqrt(40 * n), 0, -1):
+        rho = x / ((2 * k + 1) - x * rho)  # J_(k+1/2) / J_(k-1/2)
+        if 2 <= k < n:
+            tail *= rho
+    half, three_half = _seed_half(x), _seed_three_half(x)
+    return np.where(np.abs(half) >= np.abs(three_half), half * rho, three_half) * tail
+
+
+def eval_j(n: int, x):
     """J_(n-1/2)(x) for x > 0, vectorized over x."""
-    _check_order(n, order_cap)
+    _check_order(n)
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if np.any(arr <= 0.0):
         raise ValueError("arguments must be positive")
-    nu = n - 0.5
     out = np.empty_like(arr)
-    unstable = arr < nu + 2.0
-    if np.any(unstable):
-        out[unstable] = _series(nu, arr[unstable])
-    if np.any(~unstable):
-        out[~unstable] = _recurrence(n, arr[~unstable])
+    below = arr < n - 0.5
+    if np.any(below):
+        out[below] = _miller(n, arr[below])
+    if not np.all(below):
+        out[~below] = _upward(n, arr[~below])
     return float(out[0]) if scalar else out
 
 
-def eval_j_prime_scaled(n: int, omega: float, r, order_cap: int = DEFAULT_ORDER_CAP):
+def eval_j_prime_scaled(n: int, omega: float, r):
     """Derivative of r -> J_(n-1/2)(omega r), by the order-shift identity."""
-    _check_order(n, order_cap)
+    _check_order(n)
     rr = np.asarray(r, dtype=float)
-    nu = n - 0.5
-    # the identity needs the next order up; lift the cap for that internal call
-    return (nu / rr) * eval_j(n, omega * rr, order_cap) - omega * eval_j(
-        n + 1, omega * rr, order_cap=max(order_cap, n + 1)
-    )
-
-
-def _deriv_at(n: int, x, order_cap: int):
-    return eval_j_prime_scaled(n, 1.0, x, order_cap=max(order_cap, n + 1))
+    return ((n - 0.5) / rr) * eval_j(n, omega * rr) - omega * eval_j(n + 1, omega * rr)
 
 
 @dataclass
@@ -108,92 +102,57 @@ class ZeroTable:
         return len(self.zeros)
 
 
-def _bisect(f, lo, hi):
-    flo = f(lo)
-    for _ in range(200):
-        if hi - lo <= _BISECT_WIDTH:
+def _scan_zeros(f, start: float, stop: float, count: int = None) -> np.ndarray:
+    """Zeros of f on [start, stop] by pi/8 sign scan and bisection.
+
+    With a count, the window doubles until it holds that many zeros and the
+    first `count` are returned; without one, every zero on the window is.
+    """
+    while True:
+        steps = max(0, math.floor((stop - start) / _SCAN_STEP))
+        xs = start + _SCAN_STEP * np.arange(steps + 1)
+        neg = f(xs) < 0
+        (i,) = np.nonzero(neg[:-1] != neg[1:])
+        if count is None or len(i) >= count:
             break
+        stop = start + 2.0 * (stop - start)
+    i = i[:count]
+    lo, hi, neg_lo = xs[i], xs[i + 1], neg[i]
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0) != (fm < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
+        left = (f(mid) < 0) != neg_lo
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
     return 0.5 * (lo + hi)
 
 
-def _scan_zeros(f, count, x_start: float, x_max: float):
-    """Zeros by pi/8 sign scan plus bisection; count=None collects the window."""
-    zeros = []
-    x_prev = x_start
-    f_prev = f(x_prev)
-    x = x_prev
-    while count is None or len(zeros) < count:
-        x = x + _SCAN_STEP
-        if x > x_max:
-            if count is None:
-                return zeros
-            raise BracketExhausted(
-                f"found {len(zeros)} of {count} zeros below x_max={x_max:.3f}; "
-                "raise x_max"
-            )
-        fx = f(x)
-        if fx == 0.0:
-            zeros.append(x)
-            x_prev, f_prev = x + 1e-9, f(x + 1e-9)
-            continue
-        if (f_prev < 0) != (fx < 0):
-            zeros.append(_bisect(f, x_prev, x))
-        x_prev, f_prev = x, fx
-    return zeros
+def _function(kind: str, n: int):
+    """x -> J_(n-1/2)(x) for kind "fn", its derivative for kind "dfn"."""
+    if kind == "fn":
+        return lambda x: eval_j(n, x)
+    return lambda x: eval_j_prime_scaled(n, 1.0, x)
 
 
-def zeros_j(
-    n: int,
-    count: int,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    x_max: float = None,
-) -> ZeroTable:
+def _table(n: int, count: int, kind: str) -> ZeroTable:
+    _check_order(n)
+    if count < 1:
+        raise ValueError("count must be positive")
+    nu = n - 0.5
+    f = _function(kind, n)
+    zs = _scan_zeros(f, nu, nu + (count + 1) * math.pi, count)
+    return ZeroTable(n=n, kind=kind, zeros=zs, residuals=np.abs(f(zs)))
+
+
+def zeros_j(n: int, count: int) -> ZeroTable:
     """First `count` positive zeros of J_(n-1/2)."""
-    _check_order(n, order_cap)
-    if count < 1:
-        raise ValueError("count must be positive")
-    nu = n - 0.5
-    if x_max is None:
-        x_max = nu + 2.0 * nu ** (1.0 / 3.0) + (count + 3) * math.pi + 10.0
-    f = lambda x: eval_j(n, x, order_cap)
-    zs = np.array(_scan_zeros(f, count, x_start=1e-6, x_max=x_max))
-    res = np.array([abs(f(z)) for z in zs])
-    return ZeroTable(n=n, kind="fn", zeros=zs, residuals=res)
+    return _table(n, count, "fn")
 
 
-def zeros_jprime(
-    n: int,
-    count: int,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    x_max: float = None,
-) -> ZeroTable:
+def zeros_jprime(n: int, count: int) -> ZeroTable:
     """First `count` positive zeros of the derivative of J_(n-1/2)."""
-    _check_order(n, order_cap)
-    if count < 1:
-        raise ValueError("count must be positive")
-    nu = n - 0.5
-    if x_max is None:
-        x_max = nu + 2.0 * nu ** (1.0 / 3.0) + (count + 3) * math.pi + 10.0
-    g = lambda x: _deriv_at(n, x, order_cap)
-    zs = np.array(_scan_zeros(g, count, x_start=1e-6, x_max=x_max))
-    res = np.array([abs(g(z)) for z in zs])
-    return ZeroTable(n=n, kind="dfn", zeros=zs, residuals=res)
+    return _table(n, count, "dfn")
 
 
-def no_common_zero_check(
-    orders,
-    kind: str = "fn",
-    x_max: float = 40.0,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> dict:
+def no_common_zero_check(orders, kind: str = "fn", x_max: float = 40.0) -> dict:
     """Smallest pairwise gap between zeros of different orders on (0, x_max].
 
     Certifies numerical separation on the window only.  A single order gives
@@ -203,12 +162,8 @@ def no_common_zero_check(
         raise ValueError("kind must be 'fn' or 'dfn'")
     tables = {}
     for n in orders:
-        _check_order(n, order_cap)
-        if kind == "fn":
-            f = lambda x, n=n: eval_j(n, x, order_cap)
-        else:
-            f = lambda x, n=n: _deriv_at(n, x, order_cap)
-        tables[n] = np.asarray(_scan_zeros(f, None, x_start=1e-6, x_max=x_max))
+        _check_order(n)
+        tables[n] = _scan_zeros(_function(kind, n), n - 0.5, x_max)
     best = {"gap": math.inf, "orders": None, "zeros": None}
     labels = sorted(tables)
     for i, a in enumerate(labels):

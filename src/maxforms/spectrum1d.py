@@ -86,7 +86,7 @@ def fd_eigenvalue_closed_form(M: int, k: int) -> float:
     """The discrete operator's exact eigenvalue (the FD solver's oracle)."""
     h = ARC / M
     omega = k - 0.5
-    return (2.0 / h**2) * (1.0 - math.cos(omega * h))
+    return (4.0 / h**2) * math.sin(0.5 * omega * h) ** 2
 
 
 def maxwell_residual(pair: EigenPair1D, M: int = 1000) -> dict:

@@ -574,6 +574,8 @@ def zaremba2d_eigensolve(M_r: int, M_phi: int, count: int = 4) -> Zaremba2DSolve
 
 def reference_modes(q: int, count: int) -> list:
     """Ascending (lambda, n, m, omega) rows of the exact spectrum."""
+    if q not in (0, 1):
+        raise ValueError("families are indexed by q in {0, 1}")
     zeros = zeros_j if q == 0 else zeros_jprime
     rows_of = lambda n: [(float(z) ** 2, n, m, float(z))
                          for m, z in enumerate(zeros(n, count).zeros, 1)]

@@ -92,7 +92,12 @@ def test_eigen2d_strict_gate_trips_on_coarse_grid(capsys):
 
 @pytest.mark.parametrize(
     "argv,modes",
-    [(["--q", "1", "--modes", "12"], 12), (["--q", "0", "--grid", "1024,1024"], 4)],
+    [
+        (["--q", "1", "--modes", "12"], 12),
+        (["--q", "0", "--grid", "1024,1024"], 4),
+        (["--q", "0", "--modes", "40"], 40),
+        (["--q", "1", "--modes", "40"], 40),
+    ],
 )
 def test_eigen2d_serves_more_modes_and_large_grids(argv, modes, capsys):
     code, out = run(["eigen2d", *argv, "--strict"], capsys)
@@ -100,10 +105,13 @@ def test_eigen2d_serves_more_modes_and_large_grids(argv, modes, capsys):
     assert len(rows_of(out)) == modes
 
 
-def test_eigen2d_order_cap_still_fails_loudly(capsys):
-    code = cli.main(["eigen2d", "--q", "1", "--modes", "26"])
-    assert code == 2
-    assert "above cap" in capsys.readouterr().err
+def test_bessel_zeros_serve_high_orders(capsys):
+    code, out = run(
+        ["bessel-zeros", "--n", "40", "--count", "5", "--format", "json", "--strict"],
+        capsys,
+    )
+    assert code == 0
+    assert len(json.loads(out)["results"]["zero"]) == 5
 
 
 def test_identities_residuals_all_zero(capsys):

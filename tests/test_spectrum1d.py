@@ -45,6 +45,15 @@ def test_solver_matches_closed_form_exactly():
         assert abs(sol.lambdas[k - 1] - expected) <= 1e-12 * expected
 
 
+def test_closed_form_has_no_cancellation_on_fine_grids():
+    # Taylor oracle of the discrete eigenvalue in t = omega h
+    M, k = 65536, 1
+    omega = k - 0.5
+    t = omega * ARC / M
+    oracle = omega**2 * (1.0 - t**2 / 12.0 + t**4 / 360.0)
+    assert abs(fd_eigenvalue_closed_form(M, k) - oracle) <= 1e-13 * oracle
+
+
 def test_discrete_eigenvector_is_sampled_half_integer_cosine():
     sol = fd_eigensolve(64, 4)
     omega = 3 - 0.5

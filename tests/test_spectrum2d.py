@@ -325,6 +325,8 @@ def test_validation():
         zaremba2d_eigensolve(8, 64)
     with pytest.raises(ValueError):
         zaremba2d_eigensolve(16, 16, 16 * 16 + 1)
+    with pytest.raises(ValueError):
+        reference_eigenvalues(2, 3)
     ref = reference_eigenvalues(0, 4)
     large = zaremba2d_eigensolve(2000, 2000).lambdas
     assert np.max(np.abs(large - ref) / ref) <= 1e-2
