@@ -3,8 +3,8 @@
 The modules splay out along the build: combinatorics (multiindex), pointwise
 calculus (exterior), the sphere split (spherical), half-integer Bessel tables
 (bessel), the half-circle and half-disk spectra (spectrum1d, spectrum2d),
-Dirichlet-Neumann field dimensions (dnfields), boundary regularity ladders
-(regularity), and the batch CLI (cli).
+Dirichlet-Neumann field dimensions (dnfields), exact regularity verdicts at
+the center (regularity), and the batch CLI (cli).
 """
 
 from .bessel import eval_j, zeros_j, zeros_jprime

@@ -83,10 +83,11 @@ def eval_j(n: int, x):
 
 
 def eval_j_prime_scaled(n: int, omega: float, r):
-    """Derivative of r -> J_(n-1/2)(omega r), by the order-shift identity."""
-    _check_order(n)
-    rr = np.asarray(r, dtype=float)
-    return ((n - 0.5) / rr) * eval_j(n, omega * rr) - omega * eval_j(n + 1, omega * rr)
+    """d/dr J_(n-1/2)(omega r) by J'_nu = J_(nu-1) - (nu/x) J_nu, DLMF 10.6.2."""
+    x = omega * np.asarray(r, dtype=float)
+    j = eval_j(n, x)  # rejects bad n and x before the n = 1 closed form takes a root
+    lower = eval_j(n - 1, x) if n > 1 else np.sqrt(2.0 / (np.pi * x)) * np.cos(x)
+    return omega * (lower - ((n - 0.5) / x) * j)
 
 
 @dataclass

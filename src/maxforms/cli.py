@@ -261,14 +261,15 @@ def _run_regularity(args, threads) -> int:
         },
         {
             "eps": report.eps,
+            "exponent": report.exponent,
             "seminorms": report.seminorms,
             "slope": report.slope,
             "verdict": report.verdict,
         },
-        {"one_minus_quality": 1.0 - report.quality},
+        {"slope_deviation": abs(report.slope - min(0.0, 2.0 * report.exponent + 2.0))},
     )
     _emit(args.output, text)
-    return 1 if args.strict and report.verdict == "indeterminate" else 0
+    return 0
 
 
 def _sign_suite_max(n_cap: int) -> int:
@@ -511,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(sp, ("json",), "json")
     sp.set_defaults(handler=_run_dn_fields)
 
-    sp = sub.add_parser("regularity", help="gradient-energy ladder classification")
+    sp = sub.add_parser("regularity", help="exact H1 verdict from the leading power of r")
     sp.add_argument("--q", type=int, choices=(0, 1), required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)

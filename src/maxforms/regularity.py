@@ -1,56 +1,51 @@
 """Sobolev classification of the half-disk eigenfields near the center.
 
-The total gradient energy of all Cartesian components over the annulus
-eps < r < 1 either saturates (the field is H1 across the center) or grows
-like a power of 1/eps.  Fitting the log-log slope of that energy against a
-shrinking sequence of inner radii separates the two cases without ever
-evaluating at the singular point.
-
-Quadrature is midpoint in the log radius, with node count growing as the
-annulus deepens, and midpoint in angle, which integrates the half-integer
-harmonic products exactly.
+The verdict is exact: with alpha the least leading power of r over all
+Cartesian partials (PolarScalar.leading_exponent), the gradient is square
+integrable near the center iff alpha > -1, the simplest case of the corner
+exponents of Costabel & Dauge (Arch. Ration. Mech. Anal. 151, 2000).  As
+independent evidence, the gradient energy over eps < r < 1 grows like
+eps^min(0, 2 alpha + 2), read off a log-log fit over shrinking inner radii:
+Gauss-Legendre in t = log r, node count growing as the annulus deepens, and
+midpoint in angle, exact for the half-integer harmonic products.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum2d import analytic_eigenform, cartesian_components
+from .spectrum2d import HALF_ARC, analytic_eigenform, cartesian_components
 
-HALF_ARC = math.pi
-SLOPE_H1 = -0.1
-SLOPE_SINGULAR = -0.5
-QUALITY_GATE = 0.9
-FLAT_VARIATION = 0.05
 LADDER_RATIO = 4.0
 FIT_TAIL = 3
+# one rule per node count, shared by every call: callers only read the nodes
+_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 
 def annulus_gradient_energy(
     components: dict, eps: float, M_phi: int = 64,
-    nodes_per_unit: int = 48, nodes_base: int = 32,
+    nodes_per_unit: int = 16, nodes_base: int = 16,
 ) -> float:
     """Sum over components and axes of the squared partials, eps < r < 1."""
     if not 0 < eps < 1:
         raise ValueError("the inner radius must lie in (0, 1)")
     span = -math.log(eps)
     M_t = nodes_base + int(math.ceil(nodes_per_unit * span))
-    dt = span / M_t
-    t = math.log(eps) + (np.arange(M_t) + 0.5) * dt
-    r = np.exp(t)
+    x, w = _legendre(M_t)
+    r = np.exp(0.5 * span * (x - 1.0))  # t = log r runs over [log eps, 0]
     h_phi = HALF_ARC / M_phi
     phi = (np.arange(M_phi) + 0.5) * h_phi
-    rg, pg = r[:, None], phi[None, :]
     # the log substitution turns r dr into r^2 dt
-    weight = (r**2 * dt)[:, None] * h_phi
+    weight = (r**2 * 0.5 * span * w)[:, None] * h_phi
 
     total = 0.0
     for ps in components.values():
         for axis in (1, 2):
-            vals = ps.cartesian_partial(axis)(rg, pg)
+            vals = ps.cartesian_partial(axis)(r[:, None], phi[None, :])
             total += float(np.sum(weight * np.abs(vals) ** 2))
     return total
 
@@ -60,51 +55,26 @@ class RegularityReport:
     eps: np.ndarray
     seminorms: np.ndarray
     slope: float
-    quality: float
+    exponent: float
     verdict: str
 
 
 def classify_components(
     components: dict, levels: int = 6, eps_start: float = 0.2
 ) -> RegularityReport:
-    """Fit the energy growth slope and call the verdict.
-
-    Slope near zero means the energy saturates (H1); slope at or below the
-    singular threshold means power-law growth.  Only the deepest annuli enter
-    the fit: the coarse levels sit in a transition region where a saturating
-    constant competes with the power law and the slope reads shallow.  The
-    quality gate throws out unreliable fits, except that an essentially
-    constant tail is perfect saturation no matter what R^2 says of it.
-    """
+    """Exact verdict from the leading exponent, with the energy ladder beside it;
+    only the deepest annuli enter the slope, since on the coarse ones a saturating
+    constant competes with the power law and the slope reads shallow."""
     if levels < FIT_TAIL:
         raise ValueError(f"need at least {FIT_TAIL} annuli for a slope")
+    exponent = min(ps.cartesian_partial(axis).leading_exponent()
+                   for ps in components.values() for axis in (1, 2))
     eps = eps_start * LADDER_RATIO ** -np.arange(levels)
-    values = np.array(
-        [annulus_gradient_energy(components, e) for e in eps]
-    )
-    x = np.log(eps[-FIT_TAIL:])
-    y = np.log(values[-FIT_TAIL:])
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    ss_res = float(np.sum((y - fitted) ** 2))
-    if float(np.max(y) - np.min(y)) < FLAT_VARIATION:
-        quality = 1.0
-        slope = 0.0
-    else:
-        quality = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-
-    if quality < QUALITY_GATE:
-        verdict = "indeterminate"
-    elif slope >= SLOPE_H1:
-        verdict = "H1"
-    elif slope <= SLOPE_SINGULAR:
-        verdict = "not-H1"
-    else:
-        verdict = "indeterminate"
+    values = np.array([annulus_gradient_energy(components, e) for e in eps])
+    slope = np.polyfit(np.log(eps[-FIT_TAIL:]), np.log(values[-FIT_TAIL:]), 1)[0]
     return RegularityReport(
-        eps=eps, seminorms=values, slope=float(slope),
-        quality=float(quality), verdict=verdict,
+        eps=eps, seminorms=values, slope=float(slope), exponent=float(exponent),
+        verdict="H1" if exponent > -1.0 else "not-H1",
     )
 
 

@@ -29,6 +29,7 @@ from .spectrum1d import analytic_pair, fd_eigenvalue_closed_form
 
 HALF_ARC = math.pi
 MIN_GRID = 16
+_ROUNDOFF = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +44,19 @@ class RadialTerm:
     power: float
     order: int | None = None
     omega: float = 0.0
+
+    def series(self):
+        """Ascending series, DLMF 10.2.2: (power, coeff, rounded factors in coeff)."""
+        if self.order is None:
+            yield self.power, self.coeff, 1
+            return
+        nu, h = self.order - 0.5, self.omega / 2.0
+        # h^nu / Gamma(nu + 1) as a product, from Gamma(3/2) = sqrt(pi) / 2
+        c = self.coeff * 2.0 * math.sqrt(h / math.pi)
+        c *= math.prod(h / (j + 0.5) for j in range(1, self.order))
+        for k in itertools.count():
+            yield self.power + nu + 2 * k, c, self.order + k + 2
+            c *= -h * h / ((k + 1) * (nu + k + 1))
 
 
 class RadialPart:
@@ -185,6 +199,35 @@ class PolarScalar:
         if axis == 2:
             return dr.times_pure(0.0, _SIN_PHI) + dphi.times_pure(-1.0, _COS_PHI)
         raise ValueError("axis must be 1 or 2")
+
+    def leading_exponent(self) -> float:
+        """Lowest power of r whose angular content survives; inf if none does.
+
+        Series terms up to the last horizon (past it they stay below roundoff of
+        their largest at r = 1) are collected by power and frequency, cos and sin
+        parts apart.  A part cancels within its first-order roundoff bound.
+        """
+        terms = [(t, A) for R, A in self.pairs for t in R.terms]
+        top = -math.inf
+        for t, _ in terms:
+            peak = 0.0  # the terms rise to a peak, then fall for good
+            for horizon, c, _ in t.series():
+                if abs(c) <= _ROUNDOFF * (peak := max(peak, abs(c))):
+                    break
+            top = max(top, horizon)
+        most = sum(len(A.terms) for _, A in terms)  # terms one group can hold
+        groups = {}
+        for t, A in terms:
+            for p, c, factors in itertools.takewhile(lambda s: s[0] <= top, t.series()):
+                for a in A.terms:
+                    w = c * a.coeff  # cos(f phi + s) = cos s cos(f phi) - sin s sin(f phi)
+                    g = groups.setdefault((p, a.freq), [0.0, 0.0, 0.0])
+                    g[0] += w * math.cos(a.shift)
+                    g[1] += w * math.sin(a.shift) if a.freq else 0.0
+                    # each factor of a term and each partial sum rounds at most twice
+                    g[2] += 2.0 * (factors + 2 + most) * _ROUNDOFF * abs(w)
+        return min((p for (p, _), (cos, sin, bound) in groups.items()
+                    if max(abs(cos), abs(sin)) > bound), default=math.inf)
 
     def to_scalar_field(self) -> ScalarField:
         def fn(x):

@@ -178,8 +178,22 @@ def test_regularity_reports_verdict(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["results"]["verdict"] == "not-H1"
+    assert doc["results"]["exponent"] == -1.5
     assert doc["results"]["slope"] == pytest.approx(-1.0, abs=0.2)
     assert len(doc["results"]["eps"]) == len(doc["results"]["seminorms"])
+
+
+def test_regularity_verdict_is_exact_where_the_ladder_reads_shallow(capsys):
+    # at m=12 the fitted slope reads about -0.33, far from the asymptotic -1
+    code, out = run(
+        ["regularity", "--q", "0", "--n", "1", "--m", "12", "--field", "H",
+         "--strict"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["verdict"] == "not-H1"
+    assert doc["results"]["exponent"] == -1.5
 
 
 def test_expand_eigenform_collapses_to_single_order(capsys):
