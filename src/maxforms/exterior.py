@@ -3,8 +3,10 @@
 A form of degree q carries one complex scalar coefficient per ordered
 multi-index.  Coefficients come in two interchangeable representations:
 
-* callable fields (`ScalarField`): point evaluation plus partial derivatives,
-  exact when a derivative rule is attached, central differences otherwise;
+* callable fields (`ScalarField`): evaluation on point batches, coordinates on
+  the leading axis (x of shape (N,) or (N, P) gives () or (P,); a field constant
+  over the batch may give a scalar, which consumers broadcast), plus partial
+  derivatives, exact when a rule is attached, central differences otherwise;
 * grid fields (`GridScalar`): samples on a uniform tensor grid, partial
   derivatives by forward differences with periodic wrap so that discrete
   partials commute as operators (the wrapped slices are excluded from any
@@ -17,6 +19,7 @@ from pullback and hodge.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -37,7 +40,7 @@ _FD_STEP = 1e-6
 
 
 class ScalarField:
-    """Complex scalar field with point evaluation and partial derivatives.
+    """Complex scalar field with batch evaluation and partial derivatives.
 
     `partial_rule(axis)` must return the derivative `ScalarField`; rules are
     composed exactly through sums and products, so analytic derivative chains
@@ -74,7 +77,7 @@ class ScalarField:
         if not isinstance(other, ScalarField):
             return NotImplemented
         return ScalarField(
-            lambda x: self(x) + other(x),
+            lambda x: self.fn(x) + other.fn(x),
             lambda axis: self.partial(axis) + other.partial(axis),
         )
 
@@ -87,12 +90,13 @@ class ScalarField:
     def __mul__(self, other):
         if isinstance(other, ScalarField):
             return ScalarField(
-                lambda x: self(x) * other(x),
-                lambda axis: self.partial(axis) * other
-                + self * other.partial(axis),
+                lambda x: self.fn(x) * other.fn(x),
+                lambda axis: self.partial(axis) * other + self * other.partial(axis),
             )
         c = complex(other)
-        return ScalarField(lambda x: c * self(x), lambda axis: c * self.partial(axis))
+        if c == 1.0:  # most signs in hodge, ext_d and the transforms are +1
+            return self
+        return ScalarField(lambda x: c * self.fn(x), lambda axis: c * self.partial(axis))
 
     __rmul__ = __mul__
 
@@ -101,44 +105,49 @@ class ScalarField:
     @staticmethod
     def constant(c):
         c = complex(c)
-        f = ScalarField(lambda x: c)
-        f.partial_rule = lambda axis: ScalarField.constant(0.0)
-        return f
+        return ScalarField(lambda x: c, lambda axis: ScalarField.constant(0.0))
 
     @staticmethod
     def coordinate(axis: int):
         """The field x_axis (1-based)."""
-        f = ScalarField(lambda x: complex(x[axis - 1]))
-        f.partial_rule = lambda j: ScalarField.constant(1.0 if j == axis else 0.0)
-        return f
+        return ScalarField(
+            lambda x: x[axis - 1], lambda j: ScalarField.constant(1.0 if j == axis else 0.0)
+        )
 
     @staticmethod
     def harmonic(freqs, phase=0.0, amp=1.0):
-        """amp * cos(freqs . x + phase); derivatives close under phase shifts."""
+        """amp * cos(freqs . x + phase); derivatives close under phase shifts.
+
+        The dot product is summed axis by axis, so a batch rounds as its points do.
+        """
         k = np.asarray(freqs, dtype=float)
         a = complex(amp)
-        f = ScalarField(lambda x: a * np.cos(float(np.dot(k, x)) + phase))
-        f.partial_rule = lambda axis: ScalarField.harmonic(
-            k, phase + np.pi / 2.0, a * k[axis - 1]
+        terms = [(i, float(c)) for i, c in enumerate(k) if c]
+
+        def fn(x):
+            arg = phase
+            for i, c in terms:
+                arg = arg + c * x[i]
+            return a * np.cos(arg)
+
+        return ScalarField(
+            fn, lambda axis: ScalarField.harmonic(k, phase + np.pi / 2.0, a * k[axis - 1])
         )
-        return f
 
     @staticmethod
     def radial_power(exponent: float):
         """|x|^exponent away from the origin."""
         a = float(exponent)
-        f = ScalarField(lambda x: complex(np.linalg.norm(x) ** a))
-        f.partial_rule = lambda axis: (
-            a * (ScalarField.coordinate(axis) * ScalarField.radial_power(a - 2.0))
+        return ScalarField(
+            lambda x: np.hypot.reduce(x) ** a,
+            lambda axis: a * (ScalarField.coordinate(axis) * ScalarField.radial_power(a - 2.0)),
         )
-        return f
 
 
 def _central_difference(f: ScalarField, axis: int) -> ScalarField:
     def fd(x):
-        h = _FD_STEP * (1.0 + abs(float(x[axis - 1])))
-        xp = np.array(x, dtype=float)
-        xm = np.array(x, dtype=float)
+        h = _FD_STEP * (1.0 + np.abs(x[axis - 1]))
+        xp, xm = x.copy(), x.copy()
         xp[axis - 1] += h
         xm[axis - 1] -= h
         return (f(xp) - f(xm)) / (2.0 * h)
@@ -151,10 +160,6 @@ class GridSpec:
     shape: tuple
     spacing: tuple
     origin: tuple
-
-    @property
-    def ndim(self):
-        return len(self.shape)
 
 
 class GridScalar:
@@ -187,9 +192,7 @@ class GridScalar:
         return GridScalar(diff, self.grid.spacing, self.grid.origin)
 
     def zero_like(self) -> "GridScalar":
-        return GridScalar(
-            np.zeros_like(self.values), self.grid.spacing, self.grid.origin
-        )
+        return GridScalar(np.zeros_like(self.values), self.grid.spacing, self.grid.origin)
 
     def _check_compatible(self, other):
         if self.grid != other.grid:
@@ -222,10 +225,7 @@ class GridScalar:
 
 def interior(values: np.ndarray, margin: int) -> np.ndarray:
     """Strip the last `margin` slices along every axis (wrap-affected region)."""
-    if margin == 0:
-        return values
-    sl = tuple(slice(0, n - margin) for n in values.shape)
-    return values[sl]
+    return values[tuple(slice(0, n - margin) for n in values.shape)]
 
 
 class FieldForm:
@@ -241,10 +241,7 @@ class FieldForm:
         self.N = int(N)
         self.q = int(q)
         keys = enumerate_ordered(q, N)
-        comp = {}
-        for key in keys:
-            if key in components:
-                comp[key] = components[key]
+        comp = {key: components[key] for key in keys if key in components}
         extra = set(map(tuple, components)) - set(map(tuple, keys))
         if extra:
             raise ValueError(f"components outside degree-{q} index set: {sorted(extra)}")
@@ -278,10 +275,7 @@ class FieldForm:
     @classmethod
     def from_grid(cls, N, q, components, spacing, origin=None):
         components = {tuple(k): v for k, v in components.items()}
-        shape = None
-        for v in components.values():
-            shape = np.shape(v)
-            break
+        shape = next((np.shape(v) for v in components.values()), None)
         if shape is None:
             raise ValueError("at least one component array required")
         full = {}
@@ -325,25 +319,12 @@ def evaluate(form: FieldForm, x) -> dict:
     return {k: complex(v(x)) for k, v in form.components.items()}
 
 
-def _zero_like_component(form: FieldForm):
-    for v in form.components.values():
-        return v.zero_like()
-    return ScalarField.constant(0.0)
-
-
 def _zero_form(N: int, q: int, *templates: FieldForm) -> FieldForm:
     """Zero form of the requested degree, matching the templates' representation."""
     if not 0 <= q <= N:
         return FieldForm(N, q, {})
-    proto = None
-    for t in templates:
-        for v in t.components.values():
-            proto = v
-            break
-        if proto is not None:
-            break
-    if proto is None:
-        return FieldForm.zero(N, q)
+    fields = (v for t in templates for v in t.components.values())
+    proto = next(fields, ScalarField.constant(0.0))
     return FieldForm(N, q, {k: proto.zero_like() for k in enumerate_ordered(q, N)})
 
 
@@ -365,7 +346,7 @@ def wedge(a: FieldForm, b: FieldForm) -> FieldForm:
             sign = concat_sign(I, J)
             term = sign * (a.components[MultiIndex(I)] * b.components[MultiIndex(J)])
             acc = term if acc is None else acc + term
-        out[K] = acc if acc is not None else _zero_like_component(a)
+        out[K] = acc
     return FieldForm(N, q, out)
 
 
@@ -390,7 +371,8 @@ def ext_d(a: FieldForm) -> FieldForm:
     for I in enumerate_ordered(q + 1, N):
         acc = None
         for j in I:
-            term = insert_sign(j, I.remove(j)) * a.components[I.remove(j)].partial(j)
+            rest = I.remove(j)
+            term = insert_sign(j, rest) * a.components[rest].partial(j)
             acc = term if acc is None else acc + term
         out[I] = acc
     return FieldForm(N, q + 1, out)
@@ -418,17 +400,18 @@ def codiff_expansion(a: FieldForm) -> FieldForm:
         for j in complement(I, N):
             term = insert_sign(j, I) * a.components[I.insert(j)].partial(j)
             acc = term if acc is None else acc + term
-        out[I] = acc if acc is not None else _zero_like_component(a)
+        out[I] = acc
     return FieldForm(N, q - 1, out)
 
 
 @dataclass
 class SmoothMap:
-    """A smooth map with a user-supplied Jacobian.
+    """A smooth map with a user-supplied Jacobian, evaluated on point batches.
 
-    `jacobian(x)[i, j]` is the partial of component j+1 along source axis i+1,
-    so rows index source axes.  `inverse` is optional and only required by the
-    material transformations.
+    `fn` maps points (s, ...) to (t, ...); `jacobian(x)[i, j]`, shape (s, t, ...)
+    or (s, t) when constant, is the partial of component j+1 along source axis
+    i+1, so rows index source axes.  `inverse` is optional and only required by
+    the material transformations.  `affine` sets `constant_jacobian`.
     """
 
     fn: Callable
@@ -436,13 +419,14 @@ class SmoothMap:
     source_dim: int
     target_dim: int
     inverse: Optional["SmoothMap"] = None
+    constant_jacobian: Optional[np.ndarray] = None
 
     def __call__(self, x):
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
 
     def jac(self, x):
         J = np.asarray(self.jacobian(np.asarray(x, dtype=float)), dtype=float)
-        if J.shape != (self.source_dim, self.target_dim):
+        if J.shape[:2] != (self.source_dim, self.target_dim):
             raise ValueError(
                 f"jacobian shape {J.shape}, expected {(self.source_dim, self.target_dim)}"
             )
@@ -450,35 +434,39 @@ class SmoothMap:
 
     @classmethod
     def affine(cls, A, b=None):
+        def make(A, b):  # sums over source axes in one order, batch or point
+            t, s = A.shape
+            return cls(fn=lambda x: ((x.T[..., None] * A.T).sum(-2) + b).T,
+                       jacobian=lambda x: A.T.copy(), source_dim=s, target_dim=t,
+                       constant_jacobian=A.T.copy())
+
         A = np.asarray(A, dtype=float)
-        t, s = A.shape
-        b = np.zeros(t) if b is None else np.asarray(b, dtype=float)
-        fwd = cls(
-            fn=lambda x, A=A, b=b: A @ x + b,
-            jacobian=lambda x, A=A: A.T.copy(),
-            source_dim=s,
-            target_dim=t,
-        )
-        if t == s and abs(np.linalg.det(A)) > 0:
+        b = np.zeros(A.shape[0]) if b is None else np.asarray(b, dtype=float)
+        fwd = make(A, b)
+        if A.shape[0] == A.shape[1] and abs(np.linalg.det(A)) > 0:
             Ai = np.linalg.inv(A)
-            bi = -Ai @ b
-            back = cls(
-                fn=lambda y, Ai=Ai, bi=bi: Ai @ y + bi,
-                jacobian=lambda y, Ai=Ai: Ai.T.copy(),
-                source_dim=t,
-                target_dim=s,
-            )
-            fwd.inverse = back
-            back.inverse = fwd
+            fwd.inverse = make(Ai, -Ai @ b)
+            fwd.inverse.inverse = fwd
         return fwd
 
 
-def pullback(tau: SmoothMap, a: FieldForm) -> FieldForm:
-    """Pullback along tau; coefficients contract Jacobian minors against the form.
+def _compound(J: np.ndarray, q: int) -> np.ndarray:
+    """q-th compound of J (m, n, ...): entry (I, K, ...) is the minor on rows I and
+    columns K, from one stacked determinant; by Cauchy-Binet compounds multiply."""
+    rows, cols = (np.array(ix, dtype=int).reshape(len(ix), q) - 1
+                  for ix in (enumerate_ordered(q, n) for n in J.shape[:2]))
+    blocks = J[rows[:, None, :, None], cols[None, :, None, :]]  # (I, K, q, q, ...)
+    return np.linalg.det(np.moveaxis(blocks, (2, 3), (-2, -1)))
 
-    The result is a callable form on the source box.  Its coefficients carry no
-    analytic derivative rule (that would need second derivatives of the map),
-    so downstream derivatives use the central-difference fallback.
+
+def pullback(tau: SmoothMap, a: FieldForm) -> FieldForm:
+    """Pullback along tau: coefficient I is sum_K minor(I, K) a_K(tau(v)).
+
+    One evaluator per pullback contracts the compound of the Jacobian with all
+    components of `a`, evaluated once per point batch, and keeps the last batch:
+    each coefficient reads its row, so nested pullbacks cost linear in depth.
+    Along an affine map the compound is constant and the coefficients
+    differentiate exactly: their partials are pullbacks of chain-ruled partials.
     """
     if a.kind == "grid":
         raise ValueError("pullback needs the callable representation")
@@ -486,24 +474,35 @@ def pullback(tau: SmoothMap, a: FieldForm) -> FieldForm:
         raise ValueError("form dimension does not match map target")
     N_src, q = tau.source_dim, a.q
     if a.is_zero_degree_range or q > N_src:
-        return FieldForm.zero(N_src, min(q, N_src + 1)) if 0 <= q <= N_src else FieldForm(N_src, min(q, N_src + 1), {})
-    targets = enumerate_ordered(q, a.N)
-    out = {}
-    for I in enumerate_ordered(q, N_src):
-        rows = [i - 1 for i in I]
+        return _zero_form(N_src, min(q, N_src + 1))
+    J = tau.constant_jacobian
+    fixed = None if J is None else _compound(J.T, q)  # M[K, I], K over target indices
+    last = [(None, None)]  # (key, coefficient rows) of the last batch, read as one pair
 
-        def coeff(v, rows=tuple(rows), a=a, targets=targets, tau=tau):
-            J = tau.jac(v)
+    def rows(v):
+        key = (v.shape, v.tobytes())
+        seen, out = last[0]
+        if seen != key:
             y = tau(v)
-            total = 0.0 + 0.0j
-            for K in targets:
-                cols = [k - 1 for k in K]
-                minor = np.linalg.det(J[np.ix_(rows, cols)]) if rows else 1.0
-                if minor != 0.0:
-                    total += minor * a.components[K](y)
-            return total
+            vals = np.empty((len(a.components),) + v.shape[1:], dtype=complex)
+            for k, f in enumerate(a.components.values()):
+                vals[k] = f(y)
+            M = fixed if J is not None else _compound(np.swapaxes(tau.jac(v), 0, 1), q)
+            M = M.reshape(M.shape + (1,) * (vals.ndim + 1 - M.ndim))
+            out = (M * vals[:, None]).sum(axis=0)  # over K in one order, batch or point
+            out.flags.writeable = False  # rows go out as views
+            last[0] = key, out
+        return out
 
-        out[I] = ScalarField(coeff)
+    @functools.cache
+    def chained(j):  # d/dv_j a(tau(v)) = sum_l J[j, l] (d_l a)(tau(v))
+        return pullback(tau, a.map_components(lambda f: functools.reduce(
+            ScalarField.__add__, (float(c) * f.partial(l) for l, c in enumerate(J[j - 1], 1)))))
+
+    out = {}
+    for i, I in enumerate(enumerate_ordered(q, N_src)):
+        rule = None if J is None else (lambda j, I=I: chained(j).components[I])
+        out[I] = ScalarField(lambda v, i=i: rows(v)[i], rule)
     return FieldForm(N_src, q, out)
 
 

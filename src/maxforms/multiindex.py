@@ -6,6 +6,7 @@ increasing tuple like (1, 3, 4).  Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -49,6 +50,11 @@ def enumerate_ordered(q: int, N: int) -> tuple[MultiIndex, ...]:
 
     Empty for q < 0 or q > N; the single empty index for q = 0.
     """
+    return _ordered(q, N)
+
+
+@functools.cache  # every form operation asks for these; they are immutable
+def _ordered(q: int, N: int) -> tuple[MultiIndex, ...]:
     if q < 0 or q > N:
         return ()
     return tuple(MultiIndex(c) for c in itertools.combinations(range(1, N + 1), q))

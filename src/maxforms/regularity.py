@@ -71,7 +71,10 @@ def classify_components(
                    for ps in components.values() for axis in (1, 2))
     eps = eps_start * LADDER_RATIO ** -np.arange(levels)
     values = np.array([annulus_gradient_energy(components, e) for e in eps])
-    slope = np.polyfit(np.log(eps[-FIT_TAIL:]), np.log(values[-FIT_TAIL:]), 1)[0]
+    if values.any():
+        slope = np.polyfit(np.log(eps[-FIT_TAIL:]), np.log(values[-FIT_TAIL:]), 1)[0]
+    else:  # no gradient at all (alpha = inf): nothing to fit, the exact slope is 0
+        slope = min(0.0, 2.0 * exponent + 2.0)
     return RegularityReport(
         eps=eps, seminorms=values, slope=float(slope), exponent=float(exponent),
         verdict="H1" if exponent > -1.0 else "not-H1",

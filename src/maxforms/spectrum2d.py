@@ -230,13 +230,9 @@ class PolarScalar:
                     if max(abs(cos), abs(sin)) > bound), default=math.inf)
 
     def to_scalar_field(self) -> ScalarField:
-        def fn(x):
-            r = math.hypot(float(x[0]), float(x[1]))
-            phi = math.atan2(float(x[1]), float(x[0]))
-            return complex(self(r, phi))
-
         return ScalarField(
-            fn, lambda axis: self.cartesian_partial(axis).to_scalar_field()
+            lambda x: self(np.hypot(x[0], x[1]), np.arctan2(x[1], x[0]))[()],
+            lambda axis: self.cartesian_partial(axis).to_scalar_field(),
         )
 
 
@@ -356,12 +352,9 @@ def _annulus_points(samples: int, seed: int) -> np.ndarray:
 
 
 def _sup_combination(a: FieldForm, b: FieldForm, scale: complex, points) -> float:
-    worst = 0.0
-    for key in a.components:
-        fa, fb = a.components[key], b.components[key]
-        for x in points:
-            worst = max(worst, abs(fa(x) + scale * fb(x)))
-    return worst
+    x = points.T  # one batch per component
+    return max(float(np.max(np.abs(a.components[k](x) + scale * b.components[k](x))))
+               for k in a.components)
 
 
 def maxwell_residual_2d(q: int, n: int, m: int, samples: int = 120, seed: int = 11) -> dict:
@@ -373,9 +366,9 @@ def maxwell_residual_2d(q: int, n: int, m: int, samples: int = 120, seed: int = 
     """
     from .exterior import codiff, ext_d
 
-    E = to_field_form(analytic_eigenform(q, n, m, "E"))
-    H = to_field_form(analytic_eigenform(q, n, m, "H"))
-    omega = base_frequency(q, n, m)
+    E_mode = analytic_eigenform(q, n, m, "E")
+    E, H = to_field_form(E_mode), to_field_form(analytic_eigenform(q, n, m, "H"))
+    omega = E_mode.omega
     pts = _annulus_points(samples, seed)
     return {
         "rot": _sup_combination(ext_d(E), H, 1j * omega, pts),

@@ -166,11 +166,18 @@ class SplitForm:
 
 
 def _cartesian_point(r, phi):
-    return np.array([r * math.cos(phi), r * math.sin(phi)])
+    return np.array([r * np.cos(phi), r * np.sin(phi)])
+
+
+def _polar(x):
+    return np.hypot(x[0], x[1]), np.arctan2(x[1], x[0])
 
 
 def split_circle(E: FieldForm) -> SplitForm:
-    """Extract circle-level radial/tangential parts of a callable 2-D form."""
+    """Extract circle-level radial/tangential parts of a callable 2-D form.
+
+    The parts take r and phi as scalars or as arrays of one shape.
+    """
     if E.N != 2:
         raise ValueError("circle splitting is two-dimensional")
     if E.kind == "grid":
@@ -184,11 +191,11 @@ def split_circle(E: FieldForm) -> SplitForm:
 
         def rho(r, phi):
             x = _cartesian_point(r, phi)
-            return f1(x) * math.cos(phi) + f2(x) * math.sin(phi)
+            return f1(x) * np.cos(phi) + f2(x) * np.sin(phi)
 
         def tau(r, phi):
             x = _cartesian_point(r, phi)
-            return -f1(x) * math.sin(phi) + f2(x) * math.cos(phi)
+            return -f1(x) * np.sin(phi) + f2(x) * np.cos(phi)
 
         return SplitForm(q=1, rho=rho, tau=tau)
     if q == 2:
@@ -201,25 +208,22 @@ def tau_check(q: int, fn) -> FieldForm:
     """Right inverse of the tangential extraction (N = 2).
 
     q = 0: scalar fn(r, phi); q = 1: fn is the dphi-coefficient of a circle
-    one-form.  Returns a callable Cartesian form (no analytic partials).
+    one-form.  Returns a callable Cartesian form (no analytic partials); fn
+    receives r and phi in the layout of the points evaluated.
     """
-
-    def polar(x):
-        return math.hypot(x[0], x[1]), math.atan2(x[1], x[0])
-
     if q == 0:
         return FieldForm.from_callable(
-            2, 0, {(): ScalarField(lambda x: fn(*polar(x)))}
+            2, 0, {(): ScalarField(lambda x: fn(*_polar(x)))}
         )
     if q == 1:
 
         def c1(x):
-            r, phi = polar(x)
-            return -fn(r, phi) * math.sin(phi)
+            r, phi = _polar(x)
+            return -fn(r, phi) * np.sin(phi)
 
         def c2(x):
-            r, phi = polar(x)
-            return fn(r, phi) * math.cos(phi)
+            r, phi = _polar(x)
+            return fn(r, phi) * np.cos(phi)
 
         return FieldForm.from_callable(2, 1, {(1,): ScalarField(c1), (2,): ScalarField(c2)})
     raise ValueError("tangential parts exist for q = 0, 1 when N = 2")
@@ -231,24 +235,20 @@ def rho_check(q: int, fn) -> FieldForm:
     q = 1: fn is a circle scalar; q = 2: fn is the dphi-coefficient of a
     circle one-form.
     """
-
-    def polar(x):
-        return math.hypot(x[0], x[1]), math.atan2(x[1], x[0])
-
     if q == 1:
 
         def c1(x):
-            r, phi = polar(x)
-            return fn(r, phi) * math.cos(phi)
+            r, phi = _polar(x)
+            return fn(r, phi) * np.cos(phi)
 
         def c2(x):
-            r, phi = polar(x)
-            return fn(r, phi) * math.sin(phi)
+            r, phi = _polar(x)
+            return fn(r, phi) * np.sin(phi)
 
         return FieldForm.from_callable(2, 1, {(1,): ScalarField(c1), (2,): ScalarField(c2)})
     if q == 2:
         return FieldForm.from_callable(
-            2, 2, {(1, 2): ScalarField(lambda x: fn(*polar(x)))}
+            2, 2, {(1, 2): ScalarField(lambda x: fn(*_polar(x)))}
         )
     raise ValueError("radial parts exist for q = 1, 2 when N = 2")
 
@@ -257,12 +257,11 @@ def rho_check(q: int, fn) -> FieldForm:
 
 
 def _sample(fn, r, phi):
-    if fn is None:
-        return np.zeros((len(r), len(phi)), dtype=complex)
-    out = np.empty((len(r), len(phi)), dtype=complex)
-    for i, ri in enumerate(r):
-        for j, pj in enumerate(phi):
-            out[i, j] = fn(ri, pj)
+    """fn on the (r, phi) tensor grid, in one call on the flattened nodes."""
+    out = np.zeros((len(r), len(phi)), dtype=complex)
+    if fn is not None:
+        rr, pp = np.meshgrid(r, phi, indexing="ij")
+        out.reshape(-1)[:] = fn(rr.ravel(), pp.ravel())
     return out
 
 

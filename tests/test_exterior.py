@@ -1,5 +1,7 @@
 """Exterior algebra and calculus on box forms, both representations."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -225,8 +227,10 @@ def _curved_map():
         return np.array([v[0] + 0.1 * np.sin(v[1]), v[1] + 0.1 * v[0] ** 2])
 
     def jac(v):
-        # rows: source axis, columns: target component
-        return np.array([[1.0, 0.2 * v[0]], [0.1 * np.cos(v[1]), 1.0]])
+        # rows: source axis, columns: target component; constant entries follow
+        # the point layout of v
+        one = np.ones_like(v[0])
+        return np.array([[one, 0.2 * v[0]], [0.1 * np.cos(v[1]), one]])
 
     return SmoothMap(fn=fn, jacobian=jac, source_dim=2, target_dim=2)
 
@@ -268,14 +272,29 @@ def test_pullback_naturality_curved():
         assert form_max_diff(lhs, rhs, sample_points(2, RNG)) < 1e-8
 
 
-def test_pullback_naturality_affine_3d():
+def _mild_affine_3d():
     A = np.array([[1.0, 0.2, 0.0], [0.0, 0.9, -0.1], [0.3, 0.0, 1.1]])
-    tau = SmoothMap.affine(A, b=[0.1, -0.2, 0.05])
+    return SmoothMap.affine(A, b=[0.1, -0.2, 0.05])
+
+
+def test_pullback_naturality_affine_3d():
+    tau = _mild_affine_3d()
     for q in (0, 1, 2):
         a = random_callable_form(3, q, RNG)
         lhs = ext_d(pullback(tau, a))
         rhs = pullback(tau, ext_d(a))
-        assert form_max_diff(lhs, rhs, sample_points(3, RNG)) < 1e-8
+        # exact chain rule: the two sides differ by roundoff only
+        assert form_max_diff(lhs, rhs, sample_points(3, RNG)) <= 1e-13
+
+
+def test_affine_pullback_partials_match_central_differences():
+    tau = _mild_affine_3d()
+    for q in (0, 1, 2):
+        for f in pullback(tau, random_callable_form(3, q, RNG)).components.values():
+            for j in (1, 2, 3):
+                fd = ScalarField(f.fn).partial(j)  # no rule: central differences
+                for x in sample_points(3, RNG):
+                    assert abs(f.partial(j)(x) - fd(x)) < 1e-8
 
 
 def _random_spd_affine(N, rng):
@@ -355,3 +374,69 @@ def test_central_difference_fallback_accuracy():
     x = np.array([0.4, 1.1])
     exact = 2.0 * np.cos(2.0 * x[0]) * np.cos(x[1])
     assert abs(f.partial(1)(x) - exact) < 1e-9
+
+
+# -- batched evaluation --------------------------------------------------------
+
+
+def _assert_batch_matches_points(field, X):
+    single = np.array([field(X[:, p]) for p in range(X.shape[1])])
+    batch = np.broadcast_to(field(X), single.shape)
+    assert np.max(np.abs(batch - single)) <= 1e-15 * np.max(np.abs(single))
+
+
+def test_batched_fields_match_pointwise():
+    X = RNG.uniform(0.2, 0.8, (3, 9))
+    leaf = ScalarField(lambda x: np.sin(2.0 * x[0]) * x[2])
+    fields = [
+        ScalarField.constant(0.5 - 2.0j),
+        ScalarField.coordinate(2),
+        ScalarField.harmonic([1.0, -2.0, 1.0], 0.4, 1.0 - 1.0j),
+        ScalarField.radial_power(-1.5),
+        leaf,
+    ]
+    fields += [fields[2] + fields[3], fields[1] * fields[2], 3.0j * fields[3], leaf - fields[0]]
+    fields += [f.partial(j) for f in fields for j in (1, 3)]
+    for f in fields:
+        _assert_batch_matches_points(f, X)
+
+
+def test_batched_form_operations_match_pointwise():
+    N = 4
+    tau = _random_spd_affine(N, RNG)
+    X = RNG.uniform(0.2, 0.8, (N, 9))
+    a = random_callable_form(N, 2, RNG)
+    b = random_callable_form(N, 1, RNG)
+    forms = [hodge(a), wedge(a, b), ext_d(a), codiff(a), pullback(tau, a),
+             ext_d(pullback(tau, a)), transform_eps(tau, a), transform_mu(tau, a),
+             transform_eps(tau, transform_mu(tau, a))]
+    curved = _curved_map()
+    for q in (0, 1, 2):
+        forms.append(ext_d(pullback(curved, random_callable_form(2, q, RNG))))
+    for form in forms:
+        pts = X[: form.N]
+        for f in form.components.values():
+            _assert_batch_matches_points(f, pts)
+
+
+def test_nested_pullbacks_evaluate_each_leaf_once_per_batch():
+    calls = Counter()
+
+    def counted(I, f):
+        def fn(x):
+            calls[I] += 1
+            return f(x)
+
+        return ScalarField(fn)
+
+    base = random_callable_form(4, 2, RNG)
+    a = FieldForm.from_callable(4, 2, {I: counted(I, f) for I, f in base.components.items()})
+    tau = _random_spd_affine(4, RNG)
+    out = transform_eps(tau, transform_mu(tau, a))
+    for batch in (RNG.uniform(0.2, 0.8, (4, 5)), RNG.uniform(0.2, 0.8, 4)):
+        calls.clear()
+        for f in out.components.values():
+            f(batch)
+        # four nested pullbacks, yet one call per leaf, not C(4, 2)^4
+        assert calls == Counter(dict.fromkeys(a.components, 1))
+    assert form_max_diff(out, a, sample_points(4, RNG)) < 1e-12

@@ -96,6 +96,18 @@ def test_leading_exponent_of_hand_built_fields():
             assert _polar(0.0, 0.5, n, omega).leading_exponent() == nu
 
 
+def test_constant_field_reads_the_exact_flat_slope():
+    # no gradient: every ladder energy is 0, so there is no power law to fit
+    const = PolarScalar(
+        [(RadialPart([RadialTerm(2.0, 0.0)]), AngularPart([AngularTerm(1.0, 0.0, 0.0)]))]
+    )
+    rep = classify_components({(): const})
+    assert not rep.seminorms.any()
+    assert rep.exponent == math.inf
+    assert rep.slope == 0.0
+    assert rep.verdict == "H1"
+
+
 def test_energy_matches_closed_form_for_linear_field():
     # f = r cos(phi) = x1 has gradient (1, 0), so the energy over the
     # half annulus is pi (1 - eps^2) / 2 exactly

@@ -8,6 +8,7 @@ import pytest
 from maxforms.exterior import FieldForm, ScalarField, evaluate, hodge, wedge
 from maxforms.spherical import (
     RadialProfile,
+    _sample,
     SequenceSpaceElement,
     dr_form,
     polar_inner,
@@ -154,6 +155,21 @@ def test_checks_are_pointwise_isometric():
 
 
 # -- sphere relations -------------------------------------------------------------
+
+
+def test_grid_sampling_matches_pointwise_loop():
+    r = np.linspace(0.25, 1.0, 64)
+    phi = np.linspace(0.05, 3.1, 64)
+    constant = FieldForm.from_callable(2, 0, {(): ScalarField.constant(0.3 - 1.0j)})
+    for E in (constant, *(random_callable_form(2, q, RNG) for q in (0, 1, 2))):
+        sp = split_circle(E)
+        for fn in (sp.rho, sp.tau):
+            loop = np.zeros((64, 64), dtype=complex)
+            if fn is not None:
+                for i, ri in enumerate(r):
+                    for j, pj in enumerate(phi):
+                        loop[i, j] = fn(ri, pj)
+            assert np.array_equal(_sample(fn, r, phi), loop)
 
 
 @pytest.mark.parametrize("q", [0, 1, 2])
