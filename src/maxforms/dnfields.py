@@ -7,10 +7,11 @@ gradients span a space of dimension exactly K - 1; measuring that dimension
 from the discrete energy Gram matrix is the point of this module.
 
 Everything is variational: a P1 triangulation of the disk, assembled sparse
-stiffness, pinned rows eliminated.  The mesh is a web of concentric rings
-whose angular layout is anchored at the first arc endpoint, so congruent
-partitions produce congruent meshes and the spectrum is rotation invariant
-to roundoff.
+stiffness, pinned rows eliminated.  The free block is SPD, so it is factored
+once under a symmetric ordering and that one factorization serves every arc.
+The mesh is a web of concentric rings whose angular layout is anchored at the
+first arc endpoint, so congruent partitions produce congruent meshes and the
+spectrum is rotation invariant to roundoff.
 """
 
 from __future__ import annotations
@@ -160,22 +161,15 @@ def _stitch(inner_idx, inner_ang, outer_idx, outer_ang, anchor):
     inner_idx, inner_ang = inner_idx[ia], rel(inner_ang[ia])
     outer_idx, outer_ang = outer_idx[oa], rel(outer_ang[oa])
     n, m = len(inner_idx), len(outer_idx)
-    tris = []
-    i = j = 0
-    while i < n or j < m:
-        a_next = inner_ang[i + 1] if i + 1 < n else TWO_PI + inner_ang[0]
-        b_next = outer_ang[j + 1] if j + 1 < m else TWO_PI + outer_ang[0]
-        if j >= m or (i < n and a_next <= b_next):
-            tris.append(
-                (inner_idx[i], outer_idx[j % m], inner_idx[(i + 1) % n])
-            )
-            i += 1
-        else:
-            tris.append(
-                (inner_idx[i % n], outer_idx[j], outer_idx[(j + 1) % m])
-            )
-            j += 1
-    return tris
+    # each step advances the ring whose next angle comes first; listing the
+    # inner keys first makes the stable sort give the inner ring every tie
+    keys = np.concatenate([inner_ang[1:], [TWO_PI + inner_ang[0]],
+                           outer_ang[1:], [TWO_PI + outer_ang[0]]])
+    inner_step = np.argsort(keys, kind="stable") < n
+    i = np.cumsum(inner_step) - inner_step
+    j = np.arange(n + m) - i
+    third = np.where(inner_step, inner_idx[(i + 1) % n], outer_idx[(j + 1) % m])
+    return np.column_stack([inner_idx[i % n], outer_idx[j % m], third])
 
 
 def disk_mesh(partition: ArcPartition, h: float) -> DiskMesh:
@@ -185,30 +179,25 @@ def disk_mesh(partition: ArcPartition, h: float) -> DiskMesh:
     step = 1.0 / rings
     anchor = partition.anchor
 
-    pts = [(0.0, 0.0)]
-    ring_idx, ring_ang = [np.array([0])], [np.array([anchor])]
-    for j in range(1, rings + 1):
-        radius = j * step
-        if j < rings:
-            ang = _ring_angles(max(6, int(math.ceil(TWO_PI * radius / step))), anchor)
-        else:
-            ang = _boundary_angles(partition, step)
-        start = len(pts)
-        pts.extend(zip(radius * np.cos(ang), radius * np.sin(ang)))
-        ring_idx.append(np.arange(start, len(pts)))
-        ring_ang.append(ang)
+    radii = np.arange(1, rings + 1) * step
+    ring_ang = [
+        _ring_angles(max(6, math.ceil(TWO_PI * radius / step)), anchor)
+        for radius in radii[:-1]
+    ] + [_boundary_angles(partition, step)]
+    sizes = [len(ang) for ang in ring_ang]
+    ends = np.cumsum([1] + sizes)  # node 0 is the centre
+    ring_idx = [np.arange(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+    radius, ang = np.repeat(radii, sizes), np.concatenate(ring_ang)
+    points = np.vstack([
+        [0.0, 0.0], np.column_stack([radius * np.cos(ang), radius * np.sin(ang)])
+    ])
 
-    tris = []
-    inner, inner_a = ring_idx[1], ring_ang[1]
-    for k in range(len(inner)):
-        tris.append((0, inner[k], inner[(k + 1) % len(inner)]))
-    for j in range(1, rings):
-        tris.extend(
-            _stitch(ring_idx[j], ring_ang[j], ring_idx[j + 1], ring_ang[j + 1], anchor)
-        )
-
-    points = np.array(pts)
-    triangles = np.array(tris, dtype=np.int64)
+    first = ring_idx[0]
+    fan = np.column_stack([np.zeros_like(first), first, np.roll(first, -1)])
+    triangles = np.concatenate([fan] + [
+        _stitch(ring_idx[j], ring_ang[j], ring_idx[j + 1], ring_ang[j + 1], anchor)
+        for j in range(rings - 1)
+    ])
     # enforce positive orientation triangle by triangle
     p = points[triangles]
     u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
@@ -224,11 +213,9 @@ def disk_mesh(partition: ArcPartition, h: float) -> DiskMesh:
 
 
 def mesh_euler_characteristic(mesh: DiskMesh) -> int:
-    edges = set()
-    for t in mesh.triangles:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            edges.add((min(a, b), max(a, b)))
-    return len(mesh.points) - len(edges) + len(mesh.triangles)
+    t = mesh.triangles
+    edges = np.sort(t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    return len(mesh.points) - len(np.unique(edges, axis=0)) + len(t)
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +243,23 @@ def p1_stiffness(mesh: DiskMesh) -> sparse.csr_matrix:
 
 
 def solve_pinned(A: sparse.csr_matrix, pinned: np.ndarray, values: np.ndarray):
-    """Solve A x = 0 with x[pinned] = values; returns x and the free residual."""
+    """Solve A x = 0 with x[pinned] = values; returns x and the free residual.
+
+    `values` of shape (n_pinned, K) holds K boundary data: the free block is
+    factored once, x has shape (n, K) and each column gets its own residual.
+    """
     n = A.shape[0]
     free = np.setdiff1d(np.arange(n), pinned)
-    x = np.zeros(n)
+    values = np.asarray(values, dtype=float)
+    x = np.zeros((n,) + values.shape[1:])
     x[pinned] = values
-    rhs = -A[free][:, pinned] @ values
-    A_ff = A[free][:, free].tocsc()
-    x[free] = splu(A_ff).solve(rhs)
-    res = np.linalg.norm(A[free] @ x)
-    scale = np.linalg.norm(rhs)
-    return x, res / (scale if scale > 0 else 1.0)
+    A_f = A[free]
+    rhs = -A_f[:, pinned] @ values
+    # A_ff is SPD: a symmetric ordering cuts the fill of COLAMD's by ~40%
+    x[free] = splu(A_f[:, free].tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    res = np.linalg.norm(A_f @ x, axis=0)
+    scale = np.linalg.norm(rhs, axis=0)
+    return x, res / np.where(scale > 0, scale, 1.0)
 
 
 @dataclass
@@ -291,11 +284,7 @@ def build_basis(partition: ArcPartition, h: float = 0.05) -> DNBasis:
     if len(mesh.points) - len(pinned) < K:
         raise ValueError("mesh too coarse to carry the requested partition")
 
-    potentials = np.zeros((len(mesh.points), K))
-    residuals = np.zeros(K)
-    for k in range(K):
-        values = (pinned_arcs == k).astype(float)
-        potentials[:, k], residuals[k] = solve_pinned(A, pinned, values)
+    potentials, residuals = solve_pinned(A, pinned, pinned_arcs[:, None] == np.arange(K))
     gram = potentials.T @ (A @ potentials)
     gram = 0.5 * (gram + gram.T)
     return DNBasis(

@@ -514,9 +514,12 @@ def _require_orientation(tau: SmoothMap):
         raise ValueError("material transformations need a square map")
     if tau.inverse is None:
         raise ValueError("material transformations need an invertible map")
-    for t in _PROBE_OFFSETS:
-        x = np.full(tau.source_dim, t)
-        if np.linalg.det(tau.jac(x)) <= 0:
+    if tau.constant_jacobian is not None:
+        jacobians = [tau.constant_jacobian]
+    else:
+        jacobians = (tau.jac(np.full(tau.source_dim, t)) for t in _PROBE_OFFSETS)
+    for J in jacobians:
+        if np.linalg.det(J) <= 0:
             raise ValueError("orientation-reversing maps are not supported")
 
 

@@ -471,10 +471,9 @@ def coeff_ode_residuals(
     because the coefficients of the lowest angular order behave like sqrt(r)
     near the center, where difference quotients cannot converge.
     """
-    omega = base_frequency(q, n, m)
-    nu = n - 0.5
     E = analytic_eigenform(q, n, m, "E")
     H = analytic_eigenform(q, n, m, "H")
+    omega, nu = E.omega, E.nu
     ce = extract_coefficients(E, [n], M_r=M_r)
     ch = extract_coefficients(H, [n], M_r=M_r)
     r = ce.nodes

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from maxforms import dnfields
 from maxforms.dnfields import (
     ArcPartition,
     DimensionReport,
@@ -91,6 +92,55 @@ def test_boundary_spacing_bounded():
     assert np.max(gaps) <= mesh.spacing * (1.0 + 1e-6)
 
 
+def _stitch_by_walk(inner_idx, inner_ang, outer_idx, outer_ang, anchor):
+    # oracle: walk both rings, advancing whichever next angle comes first and
+    # the inner ring on ties
+    def rel(ang):
+        return np.round((ang - anchor) % (2 * math.pi), 10)
+
+    ia = np.argsort(rel(inner_ang))
+    oa = np.argsort(rel(outer_ang))
+    inner_idx, inner_ang = inner_idx[ia], rel(inner_ang[ia])
+    outer_idx, outer_ang = outer_idx[oa], rel(outer_ang[oa])
+    n, m = len(inner_idx), len(outer_idx)
+    tris = []
+    i = j = 0
+    while i < n or j < m:
+        a_next = inner_ang[i + 1] if i + 1 < n else 2 * math.pi + inner_ang[0]
+        b_next = outer_ang[j + 1] if j + 1 < m else 2 * math.pi + outer_ang[0]
+        if j >= m or (i < n and a_next <= b_next):
+            tris.append((inner_idx[i], outer_idx[j % m], inner_idx[(i + 1) % n]))
+            i += 1
+        else:
+            tris.append((inner_idx[i % n], outer_idx[j], outer_idx[(j + 1) % m]))
+            j += 1
+    return np.array(tris, dtype=np.int64).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("n, m, shared", [(6, 6, 6), (6, 12, 6), (4, 8, 2), (7, 5, 1)])
+def test_stitch_matches_the_ring_walk_on_equal_angles(n, m, shared):
+    # rings that share angles force ties between the next-angle keys
+    anchor = 0.9
+    inner_ang = anchor + np.arange(n) * (2 * math.pi / n)
+    outer_ang = np.concatenate([
+        inner_ang[:shared], anchor + 2 * math.pi * (np.arange(m - shared) + 0.5) / m
+    ])[::-1]
+    inner_idx, outer_idx = np.arange(n), n + np.arange(m)
+    args = (inner_idx, inner_ang, outer_idx, outer_ang, anchor)
+    assert np.array_equal(dnfields._stitch(*args), _stitch_by_walk(*args))
+
+
+@pytest.mark.parametrize("h", [0.05, 0.01])
+@pytest.mark.parametrize(
+    "part", [PART3, equal_arcs(4), PART3.rotated(2.31)], ids=["part3", "equal4", "rotated"]
+)
+def test_mesh_triangles_match_the_ring_walk(part, h, monkeypatch):
+    mesh = disk_mesh(part, h)
+    monkeypatch.setattr(dnfields, "_stitch", _stitch_by_walk)
+    walked = disk_mesh(part, h)
+    assert np.array_equal(mesh.triangles, walked.triangles)
+
+
 def test_mesh_spacing_validation():
     with pytest.raises(ValueError):
         disk_mesh(PART3, 0.0)
@@ -117,6 +167,32 @@ def test_linear_fields_are_reproduced_exactly():
     x, res = solve_pinned(A, mesh.boundary_nodes, values)
     assert np.max(np.abs(x - mesh.points[:, 0])) <= 1e-10
     assert res <= 1e-10
+
+
+def test_block_solve_equals_column_solves():
+    mesh = disk_mesh(PART3, 0.1)
+    A = p1_stiffness(mesh)
+    pinned = mesh.boundary_nodes
+    values = np.stack([np.cos(k * mesh.boundary_angles) for k in range(4)], axis=1)
+    x, res = solve_pinned(A, pinned, values)
+    assert x.shape == (len(mesh.points), 4) and res.shape == (4,)
+    for k in range(4):
+        xk, rk = solve_pinned(A, pinned, values[:, k])
+        assert np.max(np.abs(x[:, k] - xk)) <= 1e-13
+        assert res[k] <= 1e-10 and rk <= 1e-10
+
+
+def test_basis_factors_once(monkeypatch):
+    calls, splu = [], dnfields.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(dnfields, "splu", counting_splu)
+    basis = build_basis(equal_arcs(4), h=0.1)
+    assert len(calls) == 1
+    assert basis.potentials.shape[1] == 4 and basis.residuals.shape == (4,)
 
 
 def test_potentials_partition_unity_and_stay_in_range():

@@ -1,6 +1,7 @@
 """Exterior algebra and calculus on box forms, both representations."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -339,6 +340,13 @@ def test_orientation_reversing_rejected():
     a = random_callable_form(2, 1, RNG)
     with pytest.raises(ValueError):
         transform_eps(tau, a)
+
+
+def test_orientation_probed_when_the_jacobian_is_not_constant():
+    probed = replace(SmoothMap.affine(np.diag([1.0, -1.0])), constant_jacobian=None)
+    dx1 = FieldForm.from_callable(2, 1, {(1,): ScalarField.constant(1.0)})
+    with pytest.raises(ValueError, match="orientation"):
+        transform_mu(probed, dx1)
 
 
 # -- representation handling ---------------------------------------------------
