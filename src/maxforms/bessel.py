@@ -9,10 +9,14 @@ from the larger of the two seeds; ratios cannot overflow, so no order limit is
 needed.
 
 Zeros come from one sign scan on a pi/8 grid evaluated as a single array,
-followed by bisection of all brackets at once.  The scan starts at nu: by
-DLMF 10.21.3, nu <= j'_(nu,1) < j_(nu,1), so no zero of either kind lies
-below it, and zeros of either kind are more than pi/8 apart.  Nothing is
-tabulated.
+followed by a safeguarded Newton polish of all brackets at once.  The scan
+starts at nu: by DLMF 10.21.3, nu <= j'_(nu,1) < j_(nu,1), so no zero of
+either kind lies below it, and zeros of either kind are more than pi/8 apart.
+Every bracket thus lies on the upward route, whose one pass gives J_(nu-1)
+and J_nu, hence the function, its derivative and its second derivative.
+Tables are cached per (kind, order) and recomputed only when a longer one is
+asked for; the grid is anchored at nu and each bracket is polished on its own,
+so a shorter table is a bit-identical prefix of a longer one.
 """
 
 from __future__ import annotations
@@ -23,12 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 
 _SCAN_STEP = math.pi / 8.0
-_BISECT_STEPS = math.ceil(math.log2(_SCAN_STEP / 1e-13))  # brackets below 1e-13
+# a relative Newton step or bracket this small is at the roundoff of the evaluation
+_POLISHED = 4.0 * float(np.finfo(float).eps)
 
 
 def _check_order(n: int):
     if n < 1:
         raise ValueError("orders are labeled n >= 1 (order n - 1/2)")
+
+
+def _seed_minus_half(x):
+    return np.sqrt(2.0 / (np.pi * x)) * np.cos(x)
 
 
 def _seed_half(x):
@@ -39,55 +48,67 @@ def _seed_three_half(x):
     return np.sqrt(2.0 / (np.pi * x)) * (np.sin(x) / x - np.cos(x))
 
 
-def _upward(n: int, x: np.ndarray) -> np.ndarray:
-    """Upward recurrence from the closed-form seeds, stable for x >= nu."""
+def _upward(n: int, x: np.ndarray):
+    """(J_(nu-1), J_nu) by upward recurrence from the closed-form seeds,
+    stable for x >= nu."""
     jm, j = _seed_half(x), _seed_three_half(x)
     if n == 1:
-        return jm
+        return _seed_minus_half(x), jm
     for k in range(2, n):
         # climbing from order k - 1/2 to k + 1/2
         nu = k - 0.5
         jm, j = j, (2.0 * nu / x) * j - jm
-    return j
+    return jm, j
 
 
-def _miller(n: int, x: np.ndarray) -> np.ndarray:
-    """Miller's backward recurrence in ratio form, stable for x < nu."""
+def _miller(n: int, x: np.ndarray):
+    """(J_(nu-1), J_nu) by Miller's backward recurrence in ratio form, stable
+    for x < nu."""
     if n == 1:
-        return _seed_half(x)
+        return _seed_minus_half(x), _seed_half(x)
     rho = np.zeros_like(x)
     tail = np.ones_like(x)  # rho_2 * ... * rho_(n-1)
     for k in range(n + 20 + math.isqrt(40 * n), 0, -1):
         rho = x / ((2 * k + 1) - x * rho)  # J_(k+1/2) / J_(k-1/2)
+        if k == n - 1:
+            top = rho  # positive: below nu, J_(nu-1) has no zero either
         if 2 <= k < n:
             tail *= rho
     half, three_half = _seed_half(x), _seed_three_half(x)
-    return np.where(np.abs(half) >= np.abs(three_half), half * rho, three_half) * tail
+    j = np.where(np.abs(half) >= np.abs(three_half), half * rho, three_half) * tail
+    return j / top, j
 
 
-def eval_j(n: int, x):
-    """J_(n-1/2)(x) for x > 0, vectorized over x."""
+def _pair(n: int, x):
+    """(J_(nu-1), J_nu) at positive x, one recurrence pass for both, and
+    whether x was a scalar."""
     _check_order(n)
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if np.any(arr <= 0.0):
         raise ValueError("arguments must be positive")
-    out = np.empty_like(arr)
+    jm, j = np.empty_like(arr), np.empty_like(arr)
     below = arr < n - 0.5
     if np.any(below):
-        out[below] = _miller(n, arr[below])
+        jm[below], j[below] = _miller(n, arr[below])
     if not np.all(below):
-        out[~below] = _upward(n, arr[~below])
-    return float(out[0]) if scalar else out
+        jm[~below], j[~below] = _upward(n, arr[~below])
+    return jm, j, scalar
+
+
+def eval_j(n: int, x):
+    """J_(n-1/2)(x) for x > 0, vectorized over x."""
+    _, j, scalar = _pair(n, x)
+    return float(j[0]) if scalar else j
 
 
 def eval_j_prime_scaled(n: int, omega: float, r):
     """d/dr J_(n-1/2)(omega r) by J'_nu = J_(nu-1) - (nu/x) J_nu, DLMF 10.6.2."""
     x = omega * np.asarray(r, dtype=float)
-    j = eval_j(n, x)  # rejects bad n and x before the n = 1 closed form takes a root
-    lower = eval_j(n - 1, x) if n > 1 else np.sqrt(2.0 / (np.pi * x)) * np.cos(x)
-    return omega * (lower - ((n - 0.5) / x) * j)
+    jm, j, scalar = _pair(n, x)
+    out = omega * (jm - ((n - 0.5) / np.atleast_1d(x)) * j)
+    return float(out[0]) if scalar else out
 
 
 @dataclass
@@ -103,8 +124,47 @@ class ZeroTable:
         return len(self.zeros)
 
 
+def _with_slope(kind: str, n: int):
+    """x -> (f, f') at x >= nu for f = J_(n-1/2) (kind "fn") or its derivative
+    (kind "dfn"), both from one upward pass: J' = J_(nu-1) - (nu/x) J_nu, and
+    J'' = -J'/x - (1 - nu^2/x^2) J from Bessel's equation (DLMF 10.2.1)."""
+    nu = n - 0.5
+
+    def f(x):
+        jm, j = _upward(n, x)
+        jp = jm - (nu / x) * j
+        if kind == "fn":
+            return j, jp
+        return jp, -jp / x - (1.0 - (nu / x) ** 2) * j
+
+    return f
+
+
+def _polish(f, lo: np.ndarray, hi: np.ndarray, neg_lo: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton on every bracket at once (Segura, SIAM J. Numer.
+    Anal. 48, 2010).  Each iterate shrinks its bracket by the sign of f there;
+    a step that leaves the bracket falls back to its midpoint, one that lands
+    on an end is kept.  A bracket stops once its step or its width is down to
+    roundoff, so each zero is polished on its own, whatever its neighbours do.
+    """
+    x = 0.5 * (lo + hi)
+    live = np.arange(len(x))
+    while live.size:
+        xl, a, b = x[live], lo[live], hi[live]
+        fx, slope = f(xl)
+        left = (fx < 0) != neg_lo[live]  # the zero lies in [a, xl]
+        a, b = np.where(left, a, xl), np.where(left, xl, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = xl - fx / slope
+        step = np.where((a <= step) & (step <= b), step, 0.5 * (a + b))
+        done = (np.abs(step - xl) <= _POLISHED * step) | (b - a <= _POLISHED * step)
+        x[live], lo[live], hi[live] = step, a, b
+        live = live[~done]
+    return x
+
+
 def _scan_zeros(f, start: float, stop: float, count: int = None) -> np.ndarray:
-    """Zeros of f on [start, stop] by pi/8 sign scan and bisection.
+    """Zeros of f on [start, stop] by pi/8 sign scan and Newton polish.
 
     With a count, the window doubles until it holds that many zeros and the
     first `count` are returned; without one, every zero on the window is.
@@ -112,35 +172,31 @@ def _scan_zeros(f, start: float, stop: float, count: int = None) -> np.ndarray:
     while True:
         steps = max(0, math.floor((stop - start) / _SCAN_STEP))
         xs = start + _SCAN_STEP * np.arange(steps + 1)
-        neg = f(xs) < 0
+        neg = f(xs)[0] < 0
         (i,) = np.nonzero(neg[:-1] != neg[1:])
         if count is None or len(i) >= count:
             break
         stop = start + 2.0 * (stop - start)
     i = i[:count]
-    lo, hi, neg_lo = xs[i], xs[i + 1], neg[i]
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        left = (f(mid) < 0) != neg_lo
-        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
-    return 0.5 * (lo + hi)
+    return _polish(f, xs[i], xs[i + 1], neg[i])
 
 
-def _function(kind: str, n: int):
-    """x -> J_(n-1/2)(x) for kind "fn", its derivative for kind "dfn"."""
-    if kind == "fn":
-        return lambda x: eval_j(n, x)
-    return lambda x: eval_j_prime_scaled(n, 1.0, x)
+# (kind, n) -> the longest table computed so far; a shorter request is a prefix
+_TABLES = {}
 
 
 def _table(n: int, count: int, kind: str) -> ZeroTable:
     _check_order(n)
     if count < 1:
         raise ValueError("count must be positive")
-    nu = n - 0.5
-    f = _function(kind, n)
-    zs = _scan_zeros(f, nu, nu + (count + 1) * math.pi, count)
-    return ZeroTable(n=n, kind=kind, zeros=zs, residuals=np.abs(f(zs)))
+    table = _TABLES.get((kind, n))
+    if table is None or len(table) < count:
+        nu = n - 0.5
+        f = _with_slope(kind, n)
+        zs = _scan_zeros(f, nu, nu + (count + 1) * math.pi, count)
+        table = _TABLES[kind, n] = ZeroTable(n, kind, zs, np.abs(f(zs)[0]))
+    # copies, so that no caller can change the cached table
+    return ZeroTable(n, kind, table.zeros[:count].copy(), table.residuals[:count].copy())
 
 
 def zeros_j(n: int, count: int) -> ZeroTable:
@@ -164,7 +220,7 @@ def no_common_zero_check(orders, kind: str = "fn", x_max: float = 40.0) -> dict:
     tables = {}
     for n in orders:
         _check_order(n)
-        tables[n] = _scan_zeros(_function(kind, n), n - 0.5, x_max)
+        tables[n] = _scan_zeros(_with_slope(kind, n), n - 0.5, x_max)
     best = {"gap": math.inf, "orders": None, "zeros": None}
     labels = sorted(tables)
     for i, a in enumerate(labels):

@@ -9,6 +9,7 @@ its gate turns into exit code 1; invalid parameters exit 2.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -466,6 +467,7 @@ def _run_expand(args, threads) -> int:
 # parser
 
 
+@functools.cache  # one parser per process: parsing never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxforms",

@@ -12,42 +12,51 @@ midpoint in angle, exact for the half-integer harmonic products.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum2d import HALF_ARC, analytic_eigenform, cartesian_components
+from .spectrum2d import HALF_ARC, _legendre, analytic_eigenform, cartesian_components
 
 LADDER_RATIO = 4.0
 FIT_TAIL = 3
-# one rule per node count, shared by every call: callers only read the nodes
-_legendre = functools.cache(np.polynomial.legendre.leggauss)
+# the annulus rule: angular midpoints, and Gauss nodes in log r, base + per unit
+_M_PHI, _NODES_PER_UNIT, _NODES_BASE = 64, 16, 16
 
 
-def annulus_gradient_energy(
-    components: dict, eps: float, M_phi: int = 64,
-    nodes_per_unit: int = 16, nodes_base: int = 16,
-) -> float:
-    """Sum over components and axes of the squared partials, eps < r < 1."""
+def _partials(components: dict) -> list:
+    return [ps.cartesian_partial(axis) for ps in components.values() for axis in (1, 2)]
+
+
+def _annulus_rule(eps: float, nodes_per_unit: int, nodes_base: int):
+    """Gauss-Legendre nodes r and weights r^2 dt in t = log r over [log eps, 0]."""
     if not 0 < eps < 1:
         raise ValueError("the inner radius must lie in (0, 1)")
     span = -math.log(eps)
-    M_t = nodes_base + int(math.ceil(nodes_per_unit * span))
-    x, w = _legendre(M_t)
-    r = np.exp(0.5 * span * (x - 1.0))  # t = log r runs over [log eps, 0]
+    x, w = _legendre(nodes_base + int(math.ceil(nodes_per_unit * span)))
+    r = np.exp(0.5 * span * (x - 1.0))
+    # the log substitution turns r dr into r^2 dt
+    return r, r**2 * 0.5 * span * w
+
+
+def _ring_energies(partials: list, r: np.ndarray, M_phi: int) -> np.ndarray:
+    """Per radius, the angular integral of the summed squared partials."""
     h_phi = HALF_ARC / M_phi
     phi = (np.arange(M_phi) + 0.5) * h_phi
-    # the log substitution turns r dr into r^2 dt
-    weight = (r**2 * 0.5 * span * w)[:, None] * h_phi
+    rows = np.zeros(len(r))
+    for p in partials:
+        rows += np.sum(np.abs(p(r[:, None], phi[None, :])) ** 2, axis=1)
+    return h_phi * rows
 
-    total = 0.0
-    for ps in components.values():
-        for axis in (1, 2):
-            vals = ps.cartesian_partial(axis)(r[:, None], phi[None, :])
-            total += float(np.sum(weight * np.abs(vals) ** 2))
-    return total
+
+def annulus_gradient_energy(
+    components: dict, eps: float, M_phi: int = _M_PHI,
+    nodes_per_unit: int = _NODES_PER_UNIT, nodes_base: int = _NODES_BASE,
+) -> float:
+    """Sum over components and axes of the squared partials, eps < r < 1."""
+    r, w = _annulus_rule(eps, nodes_per_unit, nodes_base)
+    return float(w @ _ring_energies(_partials(components), r, M_phi))
 
 
 @dataclass
@@ -67,10 +76,15 @@ def classify_components(
     constant competes with the power law and the slope reads shallow."""
     if levels < FIT_TAIL:
         raise ValueError(f"need at least {FIT_TAIL} annuli for a slope")
-    exponent = min(ps.cartesian_partial(axis).leading_exponent()
-                   for ps in components.values() for axis in (1, 2))
+    partials = _partials(components)
+    exponent = min(p.leading_exponent() for p in partials)
     eps = eps_start * LADDER_RATIO ** -np.arange(levels)
-    values = np.array([annulus_gradient_energy(components, e) for e in eps])
+    # every annulus at once, each on the rule of annulus_gradient_energy
+    rules = [_annulus_rule(e, _NODES_PER_UNIT, _NODES_BASE) for e in eps]
+    r, w = (np.concatenate(parts) for parts in zip(*rules))
+    level = np.repeat(np.arange(levels), [len(rule[0]) for rule in rules])
+    values = np.bincount(level, weights=w * _ring_energies(partials, r, _M_PHI),
+                         minlength=levels)
     if values.any():
         slope = np.polyfit(np.log(eps[-FIT_TAIL:]), np.log(values[-FIT_TAIL:]), 1)[0]
     else:  # no gradient at all (alpha = inf): nothing to fit, the exact slope is 0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from maxforms import bessel
 from maxforms.bessel import (
     eval_j,
     eval_j_prime_scaled,
@@ -185,6 +186,77 @@ def test_zeros_against_scipy_bracketing():
                 found.append(brentq(lambda x: special.jv(nu, x), a, b, xtol=1e-13))
         assert len(found) >= 3
         assert np.max(np.abs(mine - np.array(found[:3]))) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["fn", "dfn"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 20, 30, 45, 60])
+def test_newton_zeros_match_mpmath_to_roundoff(n, kind):
+    mpmath = pytest.importorskip("mpmath")
+    count = 6
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(2 * n - 1) / 2
+        ref = np.array([float(mpmath.besseljzero(nu, m, derivative=int(kind == "dfn")))
+                        for m in range(1, count + 1)])
+    mine = (zeros_j if kind == "fn" else zeros_jprime)(n, count).zeros
+    assert np.max(np.abs(mine - ref) / ref) <= 1e-15
+
+
+def test_newton_polish_takes_few_passes(monkeypatch):
+    # bisection from the pi/8 brackets down to roundoff would take about 50
+    passes = []
+    polish = bessel._polish
+
+    def counted(f, *brackets):
+        calls = []
+        out = polish(lambda x: calls.append(x.size) or f(x), *brackets)
+        passes.append(len(calls))
+        return out
+
+    monkeypatch.setattr(bessel, "_TABLES", {})
+    monkeypatch.setattr(bessel, "_polish", counted)
+    for n in (1, 2, 13, 60):
+        zeros_j(n, 20)
+        zeros_jprime(n, 20)
+    assert len(passes) == 8 and max(passes) <= 8
+
+
+def test_returned_tables_are_copies_of_the_cache():
+    first = zeros_jprime(4, 5)
+    keep = first.zeros.copy(), first.residuals.copy()
+    first.zeros[:] = 0.0
+    first.residuals[:] = 1.0
+    again = zeros_jprime(4, 5)
+    assert np.array_equal(again.zeros, keep[0])
+    assert np.array_equal(again.residuals, keep[1])
+
+
+@pytest.mark.parametrize("kind", ["fn", "dfn"])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_shorter_tables_are_bit_identical_prefixes(monkeypatch, n, kind):
+    zeros = zeros_j if kind == "fn" else zeros_jprime
+    monkeypatch.setattr(bessel, "_TABLES", {})
+    fresh = zeros(n, 3)
+    monkeypatch.setattr(bessel, "_TABLES", {})
+    long_first = zeros(n, 20), zeros(n, 3)
+    monkeypatch.setattr(bessel, "_TABLES", {})
+    short_first = zeros(n, 3), zeros(n, 20)
+    for short, long in (long_first[::-1], short_first):
+        assert np.array_equal(short.zeros, fresh.zeros)
+        assert np.array_equal(long.zeros[:3], fresh.zeros)
+        assert np.array_equal(long.residuals[:3], fresh.residuals)
+
+
+def test_repeated_frequency_requests_do_not_scan(monkeypatch):
+    from maxforms.spectrum2d import base_frequency
+
+    scans = []
+    scan = bessel._scan_zeros
+    monkeypatch.setattr(bessel, "_TABLES", {})
+    monkeypatch.setattr(bessel, "_scan_zeros", lambda *a, **k: scans.append(a) or scan(*a, **k))
+    first = base_frequency(1, 3, 4)
+    assert [base_frequency(1, 3, 4) for _ in range(5)] == [first] * 5
+    base_frequency(1, 3, 2)  # a shorter table is a prefix of the cached one
+    assert len(scans) == 1
 
 
 def test_zero_count_must_be_positive():

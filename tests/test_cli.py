@@ -246,6 +246,15 @@ def test_unknown_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit):
+        cli.main(["bessel-zeros", "--n", "1", "--frobnicate"])
+    capsys.readouterr()
+    code, out = run(["bessel-zeros", "--n", "2", "--count", "2"], capsys)
+    assert code == 0 and len(rows_of(out)) == 2
+
+
 def test_malformed_grid_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["eigen2d", "--grid", "10,20,30"])

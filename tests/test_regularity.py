@@ -131,6 +131,14 @@ def test_seminorms_scale_quadratically_and_verdict_is_invariant():
     assert other.verdict == base.verdict
 
 
+def test_batched_ladder_equals_per_level_energies():
+    for q, n, m, role in [(0, 1, 1, "H"), (0, 3, 2, "E"), (1, 1, 4, "E"), (1, 2, 1, "H")]:
+        comps = cartesian_components(analytic_eigenform(q, n, m, role))
+        rep = classify_components(comps)
+        per_level = np.array([annulus_gradient_energy(comps, eps) for eps in rep.eps])
+        assert np.max(np.abs(rep.seminorms - per_level) / per_level) <= 1e-14
+
+
 def test_energy_grows_as_annulus_deepens():
     comps = cartesian_components(analytic_eigenform(1, 1, 1, "E"))
     rep = classify_components(comps)

@@ -108,8 +108,8 @@ def test_unit_norms_all_four_families():
         (0, 1, 1, "E"), (0, 1, 1, "H"), (0, 2, 3, "E"), (0, 2, 3, "H"),
         (1, 1, 1, "E"), (1, 1, 1, "H"), (1, 3, 2, "E"), (1, 3, 2, "H"),
     ]:
-        G = gram_matrix_2d([analytic_eigenform(q, n, m, role)], M_r=4000, M_phi=64)
-        assert abs(G[0, 0] - 1.0) <= 1e-6
+        G = gram_matrix_2d([analytic_eigenform(q, n, m, role)])
+        assert abs(G[0, 0] - 1.0) <= 1e-12
 
 
 def test_cross_coefficients_collapse():
@@ -291,7 +291,17 @@ def test_gram_matrix_scalar_family():
 def test_gram_matrix_partner_family():
     modes = [analytic_eigenform(0, n, m, "H") for n in (1, 2) for m in (1, 2)]
     G = gram_matrix_2d(modes, M_r=400, M_phi=128)
-    assert np.max(np.abs(G - np.eye(4))) <= 1e-4
+    assert np.max(np.abs(G - np.eye(4))) <= 1e-12
+
+
+@pytest.mark.parametrize("role", ["E", "H"])
+@pytest.mark.parametrize("q", [0, 1])
+def test_gram_matrix_to_roundoff_over_sixty_modes(q, role):
+    # the node floors of 1 are raised to what the modes need: up to n = 19
+    # and omega = 22.7 here
+    modes = [analytic_eigenform(q, n, m, role) for _, n, m, _ in reference_modes(q, 60)]
+    G = gram_matrix_2d(modes, M_r=1, M_phi=1)
+    assert np.max(np.abs(G - np.eye(60))) <= 1e-12
 
 
 def test_field_form_agrees_with_frame_components():
