@@ -1,5 +1,8 @@
 """Batch front end: every solver and check as a subcommand.
 
+Each handler imports the modules it runs, so a request loads only those:
+scipy, for one, is loaded by eigen1d, eigen2d and dn-fields alone.
+
 Output is machine readable and deterministic: CSV files carry a header row
 and 12 significant digits, JSON documents have exactly the top-level keys
 config / results / residuals with sorted keys and no timestamps, so identical
@@ -18,8 +21,6 @@ import sys
 
 import numpy as np
 
-from . import dnfields, exterior, regularity, spectrum1d, spectrum2d
-from .bessel import zeros_j, zeros_jprime
 from .multiindex import concat_sign, enumerate_ordered, sign_constants
 
 CSV_DIGITS = "{:.12g}"
@@ -131,6 +132,8 @@ def _order_list(text: str):
 
 
 def _run_bessel_zeros(args, threads) -> int:
+    from .bessel import zeros_j, zeros_jprime
+
     table = (zeros_j if args.kind == "fn" else zeros_jprime)(args.n, args.count)
     worst = float(np.max(table.residuals))
     if args.format == "csv":
@@ -150,6 +153,8 @@ def _run_bessel_zeros(args, threads) -> int:
 
 
 def _run_eigen1d(args, threads) -> int:
+    from . import spectrum1d
+
     solve = spectrum1d.fd_eigensolve(args.grid, args.modes)
     ks = np.arange(1, args.modes + 1)
     exact = (ks - 0.5) ** 2
@@ -174,6 +179,8 @@ def _run_eigen1d(args, threads) -> int:
 
 
 def _run_eigen2d(args, threads) -> int:
+    from . import spectrum2d
+
     M_r, M_phi = args.grid
     if args.q == 0:
         route = "zaremba"
@@ -223,6 +230,8 @@ def _run_eigen2d(args, threads) -> int:
 
 
 def _run_dn_fields(args, threads) -> int:
+    from . import dnfields
+
     partition = dnfields.arcs_from_string(args.arcs)
     basis = dnfields.build_basis(partition, h=args.h)
     report = dnfields.dimension_check(basis.gram)
@@ -251,6 +260,8 @@ def _run_dn_fields(args, threads) -> int:
 
 
 def _run_regularity(args, threads) -> int:
+    from . import regularity
+
     report = regularity.classify(args.q, args.n, args.m, role=args.field)
     text = _doc(
         {
@@ -310,16 +321,22 @@ def _form_max(form) -> float:
 
 def _random_grid_form(N: int, q: int, cells: int, seed: int):
     """Integer-valued components on a power-of-two grid: derivatives stay exact."""
+    from .exterior import FieldForm
+
     rng = np.random.default_rng(seed)
     shape = (cells,) * N
     comps = {}
     for key in enumerate_ordered(q, N):
-        data = rng.integers(-4, 5, size=shape) + 1j * rng.integers(-4, 5, size=shape)
-        comps[key] = data.astype(np.complex128)
-    return exterior.FieldForm.from_grid(N, q, comps, spacing=(0.125,) * N)
+        data = np.empty(shape, dtype=np.complex128)
+        data.real = rng.integers(-4, 5, size=shape)
+        data.imag = rng.integers(-4, 5, size=shape)
+        comps[key] = data
+    return FieldForm.from_grid(N, q, comps, spacing=(0.125,) * N)
 
 
 def _run_identities(args, threads) -> int:
+    from . import exterior
+
     if args.form:
         with open(args.form, encoding="ascii") as fh:
             a = exterior.grid_form_from_json(fh.read())
@@ -403,6 +420,8 @@ def _grid_trace_values(form, r: np.ndarray, M_phi: int) -> dict:
 
 
 def _run_expand(args, threads) -> int:
+    from . import exterior, spectrum2d
+
     orders = args.orders
     r = spectrum2d.radial_nodes(args.radial_cells)
     config = {

@@ -95,6 +95,15 @@ class ArcPartition:
                 return k
         return -1
 
+    def arc_indices(self, theta) -> np.ndarray:
+        """`arc_index` over an array of angles; the first containing arc wins."""
+        theta = np.asarray(theta, dtype=float)
+        out = np.full(theta.shape, -1)
+        for k in reversed(range(len(self.arcs))):
+            a, b = self.arcs[k]
+            out[(theta - a) % TWO_PI <= (b - a) + _ANGLE_TOL] = k
+        return out
+
     def rotated(self, alpha: float) -> "ArcPartition":
         return ArcPartition(tuple((a + alpha, b + alpha) for a, b in self.arcs))
 
@@ -275,9 +284,7 @@ class DNBasis:
 def build_basis(partition: ArcPartition, h: float = 0.05) -> DNBasis:
     mesh = disk_mesh(partition, h)
     A = p1_stiffness(mesh)
-    membership = np.array(
-        [partition.arc_index(t) for t in mesh.boundary_angles]
-    )
+    membership = partition.arc_indices(mesh.boundary_angles)
     pinned = mesh.boundary_nodes[membership >= 0]
     pinned_arcs = membership[membership >= 0]
     K = partition.count

@@ -186,9 +186,15 @@ class GridScalar:
         self.grid = GridSpec(tuple(values.shape), spacing, tuple(origin))
 
     def partial(self, axis: int) -> "GridScalar":
-        a = axis - 1
-        h = self.grid.spacing[a]
-        diff = (np.roll(self.values, -1, axis=a) - self.values) / h
+        v = self.values
+        head = (slice(None),) * (axis - 1)
+        diff = np.empty_like(v)
+        # forward neighbour minus self, the last slice wrapping to the first
+        np.subtract(v[head + (slice(1, None),)], v[head + (slice(None, -1),)],
+                    out=diff[head + (slice(None, -1),)])
+        np.subtract(v[head + (slice(None, 1),)], v[head + (slice(-1, None),)],
+                    out=diff[head + (slice(-1, None),)])
+        diff /= self.grid.spacing[axis - 1]
         return GridScalar(diff, self.grid.spacing, self.grid.origin)
 
     def zero_like(self) -> "GridScalar":
@@ -205,10 +211,13 @@ class GridScalar:
         return GridScalar(self.values + other.values, self.grid.spacing, self.grid.origin)
 
     def __sub__(self, other):
-        return self + (-1.0) * other
+        if not isinstance(other, GridScalar):
+            return NotImplemented
+        self._check_compatible(other)
+        return GridScalar(self.values - other.values, self.grid.spacing, self.grid.origin)
 
     def __neg__(self):
-        return (-1.0) * self
+        return GridScalar(-self.values, self.grid.spacing, self.grid.origin)
 
     def __mul__(self, other):
         if isinstance(other, GridScalar):
@@ -216,9 +225,12 @@ class GridScalar:
             return GridScalar(
                 self.values * other.values, self.grid.spacing, self.grid.origin
             )
-        return GridScalar(
-            complex(other) * self.values, self.grid.spacing, self.grid.origin
-        )
+        c = complex(other)
+        if c == 1.0:  # values are never written in place, so self can be shared
+            return self
+        if c == -1.0:
+            return -self
+        return GridScalar(c * self.values, self.grid.spacing, self.grid.origin)
 
     __rmul__ = __mul__
 
@@ -301,7 +313,11 @@ class FieldForm:
         )
 
     def __sub__(self, other):
-        return self + (-1.0) * other
+        if self.N != other.N or self.q != other.q:
+            raise ValueError("degree/dimension mismatch")
+        return FieldForm(
+            self.N, self.q, {k: self.components[k] - other.components[k] for k in self.components}
+        )
 
     def __mul__(self, c):
         return self.map_components(lambda v: c * v)

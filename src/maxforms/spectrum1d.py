@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 ARC = math.pi
 MIN_GRID = 16
@@ -66,6 +65,8 @@ class EigenSolve1D:
 
 def fd_eigensolve(M: int, count: int) -> EigenSolve1D:
     """Lowest eigenvalues of the mixed-endpoint second-derivative operator."""
+    from scipy.linalg import eigh_tridiagonal  # here, so the closed forms never load scipy
+
     if M < MIN_GRID:
         raise ValueError(f"grid must have at least {MIN_GRID} cells")
     if not 1 <= count <= M:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .bessel import eval_j, eval_j_prime_scaled, zeros_j, zeros_jprime
 from .exterior import FieldForm, ScalarField
@@ -528,6 +527,8 @@ def _radial_kernel(angular, M: int, count: int, bc: str, vectors=False) -> Radia
     flux weight so no condition is imposed there.  At r = 1 an odd-reflection
     ghost pins the value, a dropped flux pins the derivative.
     """
+    from scipy.linalg import eigh_tridiagonal  # here, so the closed forms never load scipy
+
     if M < MIN_GRID:
         raise ValueError(f"grid must have at least {MIN_GRID} cells")
     if not 1 <= count <= M:

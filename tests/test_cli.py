@@ -146,6 +146,19 @@ def test_identities_dump_and_reload(tmp_path, capsys):
     assert doc["residuals"]["dd_max"] == 0.0
 
 
+@pytest.mark.parametrize("N,q,cells,seed", [(2, 1, 8, 0), (3, 2, 5, 7), (4, 2, 6, 1)])
+def test_generated_grid_form_serializes_as_the_summed_draws(N, q, cells, seed):
+    # reference: real and imaginary draws summed into a fresh complex array
+    rng = np.random.default_rng(seed)
+    comps = {}
+    for key in cli.enumerate_ordered(q, N):
+        data = rng.integers(-4, 5, size=(cells,) * N) + 1j * rng.integers(-4, 5, size=(cells,) * N)
+        comps[key] = data.astype(np.complex128)
+    expected = exterior.FieldForm.from_grid(N, q, comps, spacing=(0.125,) * N)
+    assert (exterior.grid_form_to_json(cli._random_grid_form(N, q, cells, seed))
+            == exterior.grid_form_to_json(expected))
+
+
 def test_dn_fields_reports_rank_and_gap(capsys):
     code, out = run(
         ["dn-fields", "--arcs", "0.0:1.5,2.0:3.5,4.0:5.5", "--h", "0.1",

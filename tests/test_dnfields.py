@@ -52,6 +52,20 @@ def test_arc_membership():
     assert PART3.arc_index(5.2 + 2 * math.pi) == 2  # wrapped query
 
 
+@pytest.mark.parametrize("h", [0.05, 0.01, 0.005])
+def test_vector_membership_matches_arc_index(h):
+    parts = [PART3, PART3.rotated(2.31), ArcPartition(((5.5, 7.0), (1.0, 2.0)))]
+    parts += [equal_arcs(K) for K in (1, 2, 3, 4)]
+    for part in parts:
+        ends = part.endpoints()
+        angles = np.concatenate([
+            disk_mesh(part, h).boundary_angles,
+            ends, ends + 1e-9, ends - 1e-9, ends + 2e-9, ends + 2 * math.pi, ends - 2 * math.pi,
+        ])
+        expected = [part.arc_index(t) for t in angles]
+        assert part.arc_indices(angles).tolist() == expected
+
+
 def test_arcs_from_string():
     part = arcs_from_string("0.2:1.1,1.9:2.8")
     assert part.count == 2

@@ -1,5 +1,6 @@
 """Exterior algebra and calculus on box forms, both representations."""
 
+import itertools
 from collections import Counter
 from dataclasses import replace
 
@@ -24,7 +25,14 @@ from maxforms.exterior import (
     transform_mu,
     wedge,
 )
-from maxforms.multiindex import enumerate_ordered, sign_constants
+from maxforms.multiindex import (
+    MultiIndex,
+    complement,
+    concat_sign,
+    enumerate_ordered,
+    insert_sign,
+    sign_constants,
+)
 
 from formutil import (
     form_max_abs,
@@ -448,3 +456,107 @@ def test_nested_pullbacks_evaluate_each_leaf_once_per_batch():
         # four nested pullbacks, yet one call per leaf, not C(4, 2)^4
         assert calls == Counter(dict.fromkeys(a.components, 1))
     assert form_max_diff(out, a, sample_points(4, RNG)) < 1e-12
+
+
+# -- grid fast paths against the plain formulas -------------------------------
+#
+# The references work on raw component arrays: np.roll for the forward
+# difference, every sign an explicit complex multiplication, a - b as
+# a + (-1) * b.  The operators must agree with them entry for entry (==, under
+# which the two zeros are equal: -v and (-1 + 0j) * v may sign a zero apart).
+
+GRID_SPACING = {3: (0.125, 0.1, 0.3), 4: (0.125, 0.1, 0.3, 0.5)}
+
+
+def _integer_grid_form(N, q, rng):
+    shape = (5,) * N
+    comps = {I: rng.integers(-4, 5, shape) + 1j * rng.integers(-4, 5, shape)
+             for I in enumerate_ordered(q, N)}
+    return FieldForm.from_grid(N, q, comps, GRID_SPACING[N])
+
+
+def _arrays(form):
+    return {I: v.values for I, v in form.components.items()}
+
+
+def _ref_partial(v, j, N):
+    return (np.roll(v, -1, axis=j - 1) - v) / GRID_SPACING[N][j - 1]
+
+
+def _ref_hodge(c, N, q):
+    return {complement(I, N): complex(concat_sign(I, complement(I, N))) * c[I]
+            for I in enumerate_ordered(q, N)}
+
+
+def _ref_sum(terms):
+    acc = None
+    for term in terms:
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _ref_ext_d(c, N, q):
+    return {I: _ref_sum(complex(insert_sign(j, I.remove(j))) * _ref_partial(c[I.remove(j)], j, N)
+                        for j in I)
+            for I in enumerate_ordered(q + 1, N)}
+
+
+def _ref_codiff(c, N, q):
+    sign = complex(sign_constants(q, N).codiff_sign)
+    inner = _ref_hodge(_ref_ext_d(_ref_hodge(c, N, q), N, N - q), N, N - q + 1)
+    return {I: sign * v for I, v in inner.items()}
+
+
+def _ref_codiff_expansion(c, N, q):
+    return {I: _ref_sum(complex(insert_sign(j, I)) * _ref_partial(c[I.insert(j)], j, N)
+                        for j in complement(I, N))
+            for I in enumerate_ordered(q - 1, N)}
+
+
+def _ref_wedge(a, qa, b, qb, N):
+    out = {}
+    for K in enumerate_ordered(qa + qb, N):
+        terms = []
+        for I in itertools.combinations(K, qa):
+            J = tuple(i for i in K if i not in I)
+            terms.append(complex(concat_sign(I, J)) * (a[MultiIndex(I)] * b[MultiIndex(J)]))
+        out[K] = _ref_sum(terms)
+    return out
+
+
+def _assert_components_equal(form, ref):
+    assert set(form.components) == set(ref)
+    for I, v in form.components.items():
+        np.testing.assert_array_equal(v.values, ref[I], strict=True)
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_grid_operators_match_roll_and_multiply_formulas(N):
+    rng = np.random.default_rng(100 + N)
+    for q in range(N + 1):
+        a = _integer_grid_form(N, q, rng)
+        b = _integer_grid_form(N, q, rng)
+        c = _arrays(a)
+        _assert_components_equal(hodge(a), _ref_hodge(c, N, q))
+        if q < N:
+            _assert_components_equal(ext_d(a), _ref_ext_d(c, N, q))
+        if q > 0:
+            _assert_components_equal(codiff(a), _ref_codiff(c, N, q))
+            _assert_components_equal(codiff_expansion(a), _ref_codiff_expansion(c, N, q))
+        _assert_components_equal(
+            a - b, {I: c[I] + complex(-1) * b.components[I].values for I in c})
+        _assert_components_equal(-a, {I: complex(-1) * v for I, v in c.items()})
+        for qb in range(N - q + 1):
+            e = _integer_grid_form(N, qb, rng)
+            _assert_components_equal(wedge(a, e), _ref_wedge(c, q, _arrays(e), qb, N))
+
+
+def test_grid_scalar_unit_multiples_skip_the_pass():
+    g = GridScalar(np.arange(6.0).reshape(2, 3) - 2.5j, (0.5, 0.25))
+    assert 1 * g is g and g * 1.0 is g and (1 + 0j) * g is g
+    neg = -1 * g
+    assert neg is not g and neg.grid == g.grid
+    np.testing.assert_array_equal(neg.values, -g.values)
+    assert g.values[0, 0] == -2.5j  # never written in place
+    form = FieldForm.from_grid(2, 1, {(1,): g, (2,): g}, (0.5, 0.25))
+    assert all(v is g for v in (1 * form).components.values())
