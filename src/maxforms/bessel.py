@@ -8,7 +8,8 @@ rho_k = J_(k+1/2) / J_(k-1/2) down from far above the order and multiplies up
 from the larger of the two seeds; ratios cannot overflow, so no order limit is
 needed.
 
-Zeros come from one sign scan on a pi/8 grid evaluated as a single array,
+Zeros come from a sign scan on a pi/8 grid, evaluated as a single array over
+a window that doubles until it holds as many zeros as the table asks for,
 followed by a safeguarded Newton polish of all brackets at once.  The scan
 starts at nu: by DLMF 10.21.3, nu <= j'_(nu,1) < j_(nu,1), so no zero of
 either kind lies below it, and zeros of either kind are more than pi/8 apart.
@@ -163,18 +164,17 @@ def _polish(f, lo: np.ndarray, hi: np.ndarray, neg_lo: np.ndarray) -> np.ndarray
     return x
 
 
-def _scan_zeros(f, start: float, stop: float, count: int = None) -> np.ndarray:
-    """Zeros of f on [start, stop] by pi/8 sign scan and Newton polish.
+def _scan_zeros(f, start: float, stop: float, count: int) -> np.ndarray:
+    """First `count` zeros of f past start, by pi/8 sign scan and Newton polish.
 
-    With a count, the window doubles until it holds that many zeros and the
-    first `count` are returned; without one, every zero on the window is.
+    The window [start, stop] doubles until it holds `count` sign changes.
     """
     while True:
         steps = max(0, math.floor((stop - start) / _SCAN_STEP))
         xs = start + _SCAN_STEP * np.arange(steps + 1)
         neg = f(xs)[0] < 0
         (i,) = np.nonzero(neg[:-1] != neg[1:])
-        if count is None or len(i) >= count:
+        if len(i) >= count:
             break
         stop = start + 2.0 * (stop - start)
     i = i[:count]
@@ -207,27 +207,3 @@ def zeros_j(n: int, count: int) -> ZeroTable:
 def zeros_jprime(n: int, count: int) -> ZeroTable:
     """First `count` positive zeros of the derivative of J_(n-1/2)."""
     return _table(n, count, "dfn")
-
-
-def no_common_zero_check(orders, kind: str = "fn", x_max: float = 40.0) -> dict:
-    """Smallest pairwise gap between zeros of different orders on (0, x_max].
-
-    Certifies numerical separation on the window only.  A single order gives
-    an infinite gap.
-    """
-    if kind not in ("fn", "dfn"):
-        raise ValueError("kind must be 'fn' or 'dfn'")
-    tables = {}
-    for n in orders:
-        _check_order(n)
-        tables[n] = _scan_zeros(_with_slope(kind, n), n - 0.5, x_max)
-    best = {"gap": math.inf, "orders": None, "zeros": None}
-    labels = sorted(tables)
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            for za in tables[a]:
-                for zb in tables[b]:
-                    gap = abs(za - zb)
-                    if gap < best["gap"]:
-                        best = {"gap": gap, "orders": (a, b), "zeros": (za, zb)}
-    return best

@@ -397,26 +397,20 @@ def _bilinear(component, pts: np.ndarray) -> np.ndarray:
 
 
 def _grid_trace_values(form, r: np.ndarray, M_phi: int) -> dict:
-    phi = (np.arange(1, M_phi + 1) - 0.5) * (math.pi / M_phi)
-    rg, pg = np.meshgrid(r, phi, indexing="ij")
-    pts = np.column_stack(
-        [(rg * np.cos(pg)).ravel(), (rg * np.sin(pg)).ravel()]
-    )
-    shape = rg.shape
+    """Circle traces of a grid form, read bilinearly and split into polar parts."""
+    from .exterior import FieldForm
+    from .spectrum2d import _angular_nodes
+    from .spherical import _sample, split_circle
 
-    def sample(key):
-        return _bilinear(form.components[key], pts).reshape(shape)
-
+    comps = {k: lambda x, c=c: _bilinear(c, x.T) for k, c in form.components.items()}
+    sp = split_circle(FieldForm.from_callable(2, form.q, comps))
+    phi, rcol = _angular_nodes(M_phi), r[:, None]
+    rho, tau = _sample(sp.rho, r, phi), _sample(sp.tau, r, phi)
     if form.q == 0:
-        return {"c": sample(())}
+        return {"c": tau}
     if form.q == 1:
-        f1, f2 = sample((1,)), sample((2,))
-        f_r = f1 * np.cos(pg) + f2 * np.sin(pg)
-        f_phi = -f1 * np.sin(pg) + f2 * np.cos(pg)
-        return {"a": f_r, "d": rg * f_phi}
-    if form.q == 2:
-        return {"b": rg * sample((1, 2))}
-    raise ValueError("expansion needs a form of degree 0, 1 or 2")
+        return {"a": rho, "d": rcol * tau}
+    return {"b": rcol * rho}
 
 
 def _run_expand(args, threads) -> int:

@@ -88,15 +88,8 @@ class ArcPartition:
     def endpoints(self) -> np.ndarray:
         return np.array(sorted(x % TWO_PI for a, b in self.arcs for x in (a, b)))
 
-    def arc_index(self, theta: float) -> int:
-        """Index of the arc containing the angle, or -1 for a gap."""
-        for k, (a, b) in enumerate(self.arcs):
-            if (theta - a) % TWO_PI <= (b - a) + _ANGLE_TOL:
-                return k
-        return -1
-
     def arc_indices(self, theta) -> np.ndarray:
-        """`arc_index` over an array of angles; the first containing arc wins."""
+        """Per angle, the index of the first arc containing it, or -1 for a gap."""
         theta = np.asarray(theta, dtype=float)
         out = np.full(theta.shape, -1)
         for k in reversed(range(len(self.arcs))):
@@ -221,12 +214,6 @@ def disk_mesh(partition: ArcPartition, h: float) -> DiskMesh:
     )
 
 
-def mesh_euler_characteristic(mesh: DiskMesh) -> int:
-    t = mesh.triangles
-    edges = np.sort(t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    return len(mesh.points) - len(np.unique(edges, axis=0)) + len(t)
-
-
 # ---------------------------------------------------------------------------
 # P1 assembly and pinned solves
 
@@ -308,13 +295,14 @@ class DimensionReport:
     gap: float
 
 
-def dimension_check(gram: np.ndarray, rel_tol: float = 1e-8) -> DimensionReport:
-    """Numerical rank of the energy Gram matrix with the spectral-gap margin."""
+def dimension_check(gram: np.ndarray) -> DimensionReport:
+    """Numerical rank of the energy Gram matrix with the spectral-gap margin:
+    singular values above 1e-8 of the largest count toward the rank."""
     s = np.linalg.svd(np.asarray(gram), compute_uv=False)
     top = s[0] if len(s) else 0.0
     if top <= 1e-12:
         return DimensionReport(0, s, 0.0, math.inf)
-    threshold = top * rel_tol
+    threshold = top * 1e-8
     rank = int(np.sum(s > threshold))
     smallest_kept = s[rank - 1] if rank else top
     return DimensionReport(rank, s, threshold, smallest_kept / threshold)

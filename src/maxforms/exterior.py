@@ -9,8 +9,8 @@ multi-index.  Coefficients come in two interchangeable representations:
   derivatives, exact when a rule is attached, central differences otherwise;
 * grid fields (`GridScalar`): samples on a uniform tensor grid, partial
   derivatives by forward differences with periodic wrap so that discrete
-  partials commute as operators (the wrapped slices are excluded from any
-  accuracy claim; see `interior`).
+  partials commute as operators (the last slices along each axis, which the
+  wrap reaches, are excluded from any accuracy claim).
 
 Operations: wedge, hodge, exterior derivative, codifferential (two routes),
 pullback along a smooth map, and the pair of material transformations built
@@ -233,11 +233,6 @@ class GridScalar:
         return GridScalar(c * self.values, self.grid.spacing, self.grid.origin)
 
     __rmul__ = __mul__
-
-
-def interior(values: np.ndarray, margin: int) -> np.ndarray:
-    """Strip the last `margin` slices along every axis (wrap-affected region)."""
-    return values[tuple(slice(0, n - margin) for n in values.shape)]
 
 
 class FieldForm:

@@ -74,12 +74,6 @@ def perm_sign(labels) -> int:
     return -1 if inversions % 2 else 1
 
 
-def sort_with_sign(labels) -> tuple[MultiIndex, int]:
-    """Sorted copy together with the sign of the sorting permutation."""
-    sign = perm_sign(labels)
-    return MultiIndex(sorted(labels)), sign
-
-
 def complement(index, N: int) -> MultiIndex:
     """The ordered complement of `index` in 1..N."""
     present = set(index)

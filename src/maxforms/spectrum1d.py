@@ -38,15 +38,9 @@ class EigenPair1D:
     def e(self, phi):
         return np.cos(self.omega * np.asarray(phi, dtype=float))
 
-    def e_prime(self, phi):
-        return -self.omega * np.sin(self.omega * np.asarray(phi, dtype=float))
-
     def h(self, phi):
         """dphi-coefficient of the one-form partner."""
         return -1j * np.sin(self.omega * np.asarray(phi, dtype=float))
-
-    def h_prime(self, phi):
-        return -1j * self.omega * np.cos(self.omega * np.asarray(phi, dtype=float))
 
 
 def analytic_pair(n: int) -> EigenPair1D:
@@ -90,49 +84,17 @@ def fd_eigenvalue_closed_form(M: int, k: int) -> float:
     return (4.0 / h**2) * math.sin(0.5 * omega * h) ** 2
 
 
-def maxwell_residual(pair: EigenPair1D, M: int = 1000) -> dict:
-    """Sup-norm residuals of both first-order equations, two derivative routes.
-
-    The derivative route 'analytic' uses exact derivatives; 'fd' replaces them
-    with centered differences on an M-point grid, so it carries the usual
-    second-order truncation error.
-    """
-    phi = np.linspace(0.0, ARC, M + 1)
-    h = phi[1] - phi[0]
-    omega = pair.omega
-    e, hh = pair.e(phi), pair.h(phi)
-
-    rot_analytic = np.max(np.abs(pair.e_prime(phi) + 1j * omega * hh))
-    div_analytic = np.max(np.abs(pair.h_prime(phi) + 1j * omega * e))
-
-    de = (e[2:] - e[:-2]) / (2.0 * h)
-    dh = (hh[2:] - hh[:-2]) / (2.0 * h)
-    rot_fd = np.max(np.abs(de + 1j * omega * hh[1:-1]))
-    div_fd = np.max(np.abs(dh + 1j * omega * e[1:-1]))
-
-    return {
-        "rot_analytic": float(rot_analytic),
-        "div_analytic": float(div_analytic),
-        "rot_fd": float(rot_fd),
-        "div_fd": float(div_fd),
-    }
-
-
 def _simpson(values: np.ndarray, h: float) -> complex:
-    n = len(values) - 1
-    if n % 2 != 0:
-        raise ValueError("composite Simpson needs an even interval count")
+    n = len(values) - 1  # even: the Gram grid has an odd node count
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return complex((h / 3.0) * np.sum(w * values))
 
 
-def orthonormality_gram(count: int = 10, points: int = 10001) -> float:
+def orthonormality_gram(count: int = 10) -> float:
     """Max deviation of the normalized scalar family's Gram matrix from identity."""
-    if points % 2 == 0:
-        points += 1
-    phi = np.linspace(0.0, ARC, points)
+    phi = np.linspace(0.0, ARC, 10001)
     h = phi[1] - phi[0]
     fams = [analytic_pair(n) for n in range(1, count + 1)]
     basis = np.array([p.normalization * p.e(phi) for p in fams])
@@ -143,22 +105,3 @@ def orthonormality_gram(count: int = 10, points: int = 10001) -> float:
             target = 1.0 if a == b else 0.0
             worst = max(worst, abs(g - target))
     return worst
-
-
-def dirichlet_neumann_dim(M: int = 200) -> int:
-    """Kernel dimension of the constrained divergence on half-circle one-forms.
-
-    One-forms with derivative zero and vanishing coefficient at the free
-    endpoint: the discrete kernel must be trivial (the domain picture has no
-    handles to support harmonic fields).
-    """
-    if M < MIN_GRID:
-        raise ValueError(f"grid must have at least {MIN_GRID} cells")
-    h = ARC / M
-    rows = np.zeros((M, M))
-    rows[0, 0] = 1.0  # trace condition at the free end
-    for i in range(1, M):
-        rows[i, i - 1] = -1.0 / h
-        rows[i, i] = 1.0 / h
-    s = np.linalg.svd(rows, compute_uv=False)
-    return int(np.sum(s < s[0] * 1e-8))

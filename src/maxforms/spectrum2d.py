@@ -259,10 +259,6 @@ class HalfDiskMode:
     def nu(self) -> float:
         return self.n - 0.5
 
-    @property
-    def eigenvalue(self) -> float:
-        return self.omega**2
-
 
 def base_frequency(q: int, n: int, m: int) -> float:
     """m-th resonance of angular order n: outer-arc zero for the value-pinned
@@ -462,14 +458,12 @@ def _centered(values: np.ndarray, h: float) -> np.ndarray:
     return (values[2:] - values[:-2]) / (2.0 * h)
 
 
-def coeff_ode_residuals(
-    q: int, n: int, m: int, M_r: int = 400, r_window=(0.1, 1.0)
-) -> dict:
+def coeff_ode_residuals(q: int, n: int, m: int, M_r: int = 400) -> dict:
     """Residuals of the coupled radial relations for one eigenpair.
 
     Radial derivatives are taken by centered differences, so the derivative
     relations carry a second-order truncation error; the purely algebraic
-    relations sit at quadrature roundoff.  The sup is restricted to r_window
+    relations sit at quadrature roundoff.  The sup is restricted to r >= 0.1
     because the coefficients of the lowest angular order behave like sqrt(r)
     near the center, where difference quotients cannot converge.
     """
@@ -481,7 +475,7 @@ def coeff_ode_residuals(
     r = ce.nodes
     h = r[1] - r[0]
     mid = slice(1, -1)
-    window = (r[mid] >= r_window[0]) & (r[mid] <= r_window[1])
+    window = r[mid] >= 0.1
 
     def sup(values) -> float:
         return float(np.max(np.abs(np.asarray(values)[window])))

@@ -1,14 +1,10 @@
-"""Radial/tangential splitting of box forms around the origin.
+"""Radial/tangential parts of 2-D forms on centered half circles.
 
-Ambient machinery (any N): wedge with the position one-form, its adjoint
-contraction, radius scaling, and the split E = dr ^ E_rho + E_tau.  Sphere
-realization (N = 2 only): forms restricted to centered half circles, the
-radial/tangential extraction maps and their right inverses, and the residuals
-of the relations that turn ambient derivatives into sphere derivatives plus a
-radial derivative.
-
-Radial grids are offset, r_i = (i - 1/2) h, and inner products use the
-midpoint rule against the r^(N-1) volume weight.
+A callable 2-D form restricted to the circle of radius r splits, in the
+orthonormal polar frame, into a radial part (a (q-1)-form on the circle) and a
+tangential part (a q-form).  The residuals of the four relations that turn
+ambient derivatives into circle derivatives plus a radial derivative are
+measured on an (r, phi) midpoint grid by centered differences.
 """
 
 from __future__ import annotations
@@ -18,134 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import FieldForm, ScalarField, codiff, ext_d, evaluate, wedge, hodge
-from .multiindex import sign_constants
-
-
-# -- radial grids and inner products ------------------------------------------
-
-
-def radial_grid(M: int, R: float = 1.0) -> np.ndarray:
-    """Offset nodes (i - 1/2) h, i = 1..M, h = R/M; never touches 0 or R."""
-    h = R / M
-    return (np.arange(1, M + 1) - 0.5) * h
-
-
-@dataclass
-class RadialProfile:
-    """Samples of a radial function on the offset grid over (0, R)."""
-
-    values: np.ndarray
-    R: float = 1.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return radial_grid(len(self.values), self.R)
-
-    @property
-    def spacing(self) -> float:
-        return self.R / len(self.values)
-
-
-def weighted_inner(u, v, N: int, R: float = 1.0) -> complex:
-    """Midpoint quadrature of r^(N-1) u conj(v) over (0, R).
-
-    Accepts RadialProfile or plain sample arrays on the offset grid.
-    """
-    uu = u.values if isinstance(u, RadialProfile) else np.asarray(u)
-    vv = v.values if isinstance(v, RadialProfile) else np.asarray(v)
-    if uu.shape != vv.shape:
-        raise ValueError("profiles must share a grid")
-    M = len(uu)
-    r = radial_grid(M, R)
-    h = R / M
-    return complex(h * np.sum(r ** (N - 1) * uu * np.conj(vv)))
-
-
-def polar_inner(U, V, N: int = 2, R: float = 1.0, arc: float = math.pi) -> complex:
-    """Midpoint tensor quadrature of r^(N-1) U conj(V) on (0,R) x (0,arc).
-
-    U, V are (radial, angular) sample matrices on offset grids in both axes.
-    """
-    U = np.asarray(U)
-    V = np.asarray(V)
-    if U.shape != V.shape:
-        raise ValueError("sample shapes differ")
-    mr, mphi = U.shape
-    r = radial_grid(mr, R)
-    hr = R / mr
-    hphi = arc / mphi
-    return complex(hr * hphi * np.sum(r[:, None] ** (N - 1) * U * np.conj(V)))
-
-
-@dataclass
-class SequenceSpaceElement:
-    """A family of radial profiles measured in a common r^w-weighted norm."""
-
-    profiles: dict
-    weight_power: float
-    R: float = 1.0
-
-    def norm_sq(self) -> float:
-        total = 0.0
-        for p in self.profiles.values():
-            vals = p.values if isinstance(p, RadialProfile) else np.asarray(p)
-            M = len(vals)
-            r = radial_grid(M, self.R)
-            total += float(
-                (self.R / M) * np.sum(r**self.weight_power * np.abs(vals) ** 2)
-            )
-        return total
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-
-# -- ambient radial operators ---------------------------------------------------
-
-
-def position_form(N: int) -> FieldForm:
-    """The one-form with coefficient x_n on axis n."""
-    comps = {(n,): ScalarField.coordinate(n) for n in range(1, N + 1)}
-    return FieldForm.from_callable(N, 1, comps)
-
-
-def radial_wedge(E: FieldForm) -> FieldForm:
-    """Wedge with the position one-form (degree raiser of the split pair)."""
-    return wedge(position_form(E.N), E)
-
-
-def radial_contract(E: FieldForm) -> FieldForm:
-    """Adjoint of `radial_wedge`: signed star-wedge-star contraction."""
-    sign = sign_constants(E.q, E.N).codiff_sign
-    return sign * hodge(wedge(position_form(E.N), hodge(E)))
-
-
-def radial_scale(E: FieldForm, power: float = 1.0) -> FieldForm:
-    """Multiply every coefficient by |x|^power."""
-    rp = ScalarField.radial_power(power)
-    return E.map_components(lambda c: rp * c)
-
-
-def dr_form(N: int) -> FieldForm:
-    """The unit radial one-form |x|^(-1) sum x_n dx^n."""
-    rp = ScalarField.radial_power(-1.0)
-    comps = {(n,): rp * ScalarField.coordinate(n) for n in range(1, N + 1)}
-    return FieldForm.from_callable(N, 1, comps)
-
-
-def split_ambient(E: FieldForm):
-    """E = dr ^ E_rho + E_tau with E_rho of degree q-1 and E_tau of degree q."""
-    E_rho = radial_scale(radial_contract(E), -1.0)
-    E_tau = radial_scale(radial_contract(radial_wedge(E)), -2.0)
-    return E_rho, E_tau
-
-
-def reconstruct_ambient(E_rho: FieldForm, E_tau: FieldForm) -> FieldForm:
-    return wedge(dr_form(E_tau.N), E_rho) + E_tau
+from .exterior import FieldForm, codiff, ext_d
 
 
 # -- half-circle realization (N = 2) --------------------------------------------
@@ -167,10 +36,6 @@ class SplitForm:
 
 def _cartesian_point(r, phi):
     return np.array([r * np.cos(phi), r * np.sin(phi)])
-
-
-def _polar(x):
-    return np.hypot(x[0], x[1]), np.arctan2(x[1], x[0])
 
 
 def split_circle(E: FieldForm) -> SplitForm:
@@ -204,55 +69,6 @@ def split_circle(E: FieldForm) -> SplitForm:
     raise ValueError(f"degree {q} out of range for N=2")
 
 
-def tau_check(q: int, fn) -> FieldForm:
-    """Right inverse of the tangential extraction (N = 2).
-
-    q = 0: scalar fn(r, phi); q = 1: fn is the dphi-coefficient of a circle
-    one-form.  Returns a callable Cartesian form (no analytic partials); fn
-    receives r and phi in the layout of the points evaluated.
-    """
-    if q == 0:
-        return FieldForm.from_callable(
-            2, 0, {(): ScalarField(lambda x: fn(*_polar(x)))}
-        )
-    if q == 1:
-
-        def c1(x):
-            r, phi = _polar(x)
-            return -fn(r, phi) * np.sin(phi)
-
-        def c2(x):
-            r, phi = _polar(x)
-            return fn(r, phi) * np.cos(phi)
-
-        return FieldForm.from_callable(2, 1, {(1,): ScalarField(c1), (2,): ScalarField(c2)})
-    raise ValueError("tangential parts exist for q = 0, 1 when N = 2")
-
-
-def rho_check(q: int, fn) -> FieldForm:
-    """Right inverse of the radial extraction (N = 2), producing degree q.
-
-    q = 1: fn is a circle scalar; q = 2: fn is the dphi-coefficient of a
-    circle one-form.
-    """
-    if q == 1:
-
-        def c1(x):
-            r, phi = _polar(x)
-            return fn(r, phi) * np.cos(phi)
-
-        def c2(x):
-            r, phi = _polar(x)
-            return fn(r, phi) * np.sin(phi)
-
-        return FieldForm.from_callable(2, 1, {(1,): ScalarField(c1), (2,): ScalarField(c2)})
-    if q == 2:
-        return FieldForm.from_callable(
-            2, 2, {(1, 2): ScalarField(lambda x: fn(*_polar(x)))}
-        )
-    raise ValueError("radial parts exist for q = 1, 2 when N = 2")
-
-
 # -- sphere relation residuals ---------------------------------------------------
 
 
@@ -277,27 +93,21 @@ def _d_angular(A, hphi):
     return out
 
 
-def sphere_relation_residuals(
-    E: FieldForm,
-    mr: int = 32,
-    mphi: int = 32,
-    r_window=(0.25, 1.0),
-    arc: float = math.pi,
-) -> dict:
+def sphere_relation_residuals(E: FieldForm, mr: int = 32, mphi: int = 32) -> dict:
     """Sup-norm residuals of the four ambient-to-sphere derivative relations.
 
     The ambient derivative side is evaluated analytically through the exterior
-    module; the sphere side uses centered differences on an (r, phi) tensor
-    grid inside `r_window`, so each residual decays at second order under grid
-    refinement.  Relations that are trivial for the given degree report 0.
+    module; the sphere side uses centered differences on the midpoint (r, phi)
+    tensor grid over 1/4 < r < 1 and the half circle, so each residual decays
+    at second order under grid refinement.  Relations that are trivial for the
+    given degree report 0.
     """
     if E.N != 2:
         raise ValueError("sphere relations are realized for N = 2")
     q = E.q
-    r_lo, r_hi = r_window
-    hr = (r_hi - r_lo) / mr
-    r = r_lo + (np.arange(1, mr + 1) - 0.5) * hr
-    hphi = arc / mphi
+    hr = 0.75 / mr
+    r = 0.25 + (np.arange(1, mr + 1) - 0.5) * hr
+    hphi = math.pi / mphi
     phi = (np.arange(1, mphi + 1) - 0.5) * hphi
 
     sp = split_circle(E)

@@ -15,7 +15,6 @@ from maxforms import bessel
 from maxforms.bessel import (
     eval_j,
     eval_j_prime_scaled,
-    no_common_zero_check,
     zeros_j,
     zeros_jprime,
 )
@@ -262,15 +261,3 @@ def test_repeated_frequency_requests_do_not_scan(monkeypatch):
 def test_zero_count_must_be_positive():
     with pytest.raises(ValueError):
         zeros_j(1, 0)
-
-
-def test_no_common_zeros_on_window():
-    out = no_common_zero_check([1, 2, 3, 4], kind="fn", x_max=40.0)
-    assert out["gap"] > 0.05
-    assert out["orders"] is not None
-    single = no_common_zero_check([2], kind="fn", x_max=40.0)
-    assert single["gap"] == math.inf
-    outd = no_common_zero_check([1, 2, 3], kind="dfn", x_max=30.0)
-    assert outd["gap"] > 0.05
-    with pytest.raises(ValueError):
-        no_common_zero_check([1, 2], kind="bogus")

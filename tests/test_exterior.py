@@ -19,7 +19,6 @@ from maxforms.exterior import (
     grid_form_from_json,
     grid_form_to_json,
     hodge,
-    interior,
     pullback,
     transform_eps,
     transform_mu,
@@ -38,6 +37,7 @@ from formutil import (
     form_max_abs,
     form_max_diff,
     grid_max_abs,
+    interior,
     random_callable_form,
     random_grid_form,
     sample_points,

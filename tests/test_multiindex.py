@@ -15,7 +15,6 @@ from maxforms.multiindex import (
     insert_sign,
     perm_sign,
     sign_constants,
-    sort_with_sign,
 )
 
 
@@ -45,15 +44,6 @@ def test_concatenation_law(left, right):
         return
     p, q = len(left), len(right)
     assert concat_sign(left, right) == (-1) ** (p * q) * concat_sign(right, left)
-
-
-@given(distinct_labels)
-def test_sort_with_sign_consistency(labels):
-    ordered, sign = sort_with_sign(labels)
-    assert tuple(ordered) == tuple(sorted(labels))
-    assert sign == perm_sign(labels)
-    # composing with its own inverse permutation is even
-    assert sign * sign == 1
 
 
 def test_enumerate_counts_and_order():
@@ -96,8 +86,7 @@ def test_complement_sorts_to_identity():
         for q in range(0, N + 1):
             for I in enumerate_ordered(q, N):
                 J = complement(I, N)
-                merged, _ = sort_with_sign(tuple(I) + tuple(J))
-                assert tuple(merged) == tuple(range(1, N + 1))
+                assert tuple(sorted(tuple(I) + tuple(J))) == tuple(range(1, N + 1))
                 assert concat_sign(I, J) in (-1, 1)
 
 

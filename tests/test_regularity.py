@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from maxforms.regularity import (
-    annulus_gradient_energy,
+    _annulus_rule,
+    _partials,
+    _ring_energies,
     classify,
     classify_components,
     expected_verdict,
@@ -18,6 +20,13 @@ from maxforms.spectrum2d import (
     analytic_eigenform,
     cartesian_components,
 )
+
+
+def annulus_gradient_energy(components: dict, eps: float) -> float:
+    """Per-annulus oracle of the batched ladder: the squared partials summed
+    over components and axes, eps < r < 1, on that annulus's rule alone."""
+    r, w = _annulus_rule(eps)
+    return float(w @ _ring_energies(_partials(components), r))
 
 
 def _expected_exponent(q, n, role):
@@ -152,5 +161,3 @@ def test_validation():
         annulus_gradient_energy(comps, 0.0)
     with pytest.raises(ValueError):
         annulus_gradient_energy(comps, 1.0)
-    with pytest.raises(ValueError):
-        classify_components(comps, levels=2)

@@ -6,10 +6,8 @@ import pytest
 from maxforms.spectrum1d import (
     ARC,
     analytic_pair,
-    dirichlet_neumann_dim,
     fd_eigensolve,
     fd_eigenvalue_closed_form,
-    maxwell_residual,
     orthonormality_gram,
 )
 
@@ -77,20 +75,16 @@ def test_eigenvalues_converge_at_second_order():
 
 
 def test_first_order_system_residuals_vanish_analytically():
+    # e' + i omega h = 0 and h' + i omega e = 0, with the derivatives of
+    # cos(omega phi) and -i sin(omega phi) in closed form
+    phi = np.linspace(0.0, ARC, 401)
     for n in range(1, 7):
-        res = maxwell_residual(analytic_pair(n), M=400)
-        assert res["rot_analytic"] <= 1e-12
-        assert res["div_analytic"] <= 1e-12
-
-
-def test_fd_residual_is_second_order_truncation():
-    res_fine = maxwell_residual(analytic_pair(4), M=1000)
-    assert res_fine["rot_fd"] <= 1e-4
-    assert res_fine["div_fd"] <= 1e-4
-    res_coarse = maxwell_residual(analytic_pair(4), M=500)
-    for key in ("rot_fd", "div_fd"):
-        ratio = res_coarse[key] / res_fine[key]
-        assert abs(ratio - 4.0) <= 0.5
+        p = analytic_pair(n)
+        w = p.omega
+        rot = -w * np.sin(w * phi) + 1j * w * p.h(phi)
+        div = -1j * w * np.cos(w * phi) + 1j * w * p.e(phi)
+        assert np.max(np.abs(rot)) <= 1e-12
+        assert np.max(np.abs(div)) <= 1e-12
 
 
 def test_scalar_family_is_orthonormal():
@@ -100,20 +94,16 @@ def test_scalar_family_is_orthonormal():
 def test_endpoint_conditions():
     for n in (1, 2, 5):
         p = analytic_pair(n)
-        assert abs(p.e_prime(0.0)) <= 1e-12
+        w = p.omega
+        assert abs(-w * math.sin(w * 0.0)) <= 1e-12  # e'(0)
         assert abs(p.e(ARC)) <= 1e-12
         assert abs(p.h(0.0)) <= 1e-12
-        assert abs(p.h_prime(ARC)) <= 1e-12
+        assert abs(-1j * w * math.cos(w * ARC)) <= 1e-12  # h'(pi)
 
 
 def test_normalization_constant():
     p = analytic_pair(1)
     assert abs(p.normalization - math.sqrt(2.0 / math.pi)) == 0.0
-
-
-def test_constrained_divergence_kernel_is_trivial():
-    assert dirichlet_neumann_dim() == 0
-    assert dirichlet_neumann_dim(M=64) == 0
 
 
 def test_eigenvalues_strictly_increasing():
@@ -130,5 +120,3 @@ def test_input_validation():
         fd_eigensolve(32, 33)
     with pytest.raises(ValueError):
         analytic_pair(0)
-    with pytest.raises(ValueError):
-        dirichlet_neumann_dim(M=4)
