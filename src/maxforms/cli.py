@@ -346,6 +346,8 @@ def _run_identities(args, threads) -> int:
         N, q = args.N, args.q
         if not 0 <= q <= N:
             raise ValueError("degree must lie in 0..N")
+        if args.cells < 1:
+            raise ValueError(f"--cells must be positive, got {args.cells}")
         a = _random_grid_form(N, q, args.cells, args.seed)
         source = "generated"
     if args.dump_form:
@@ -399,18 +401,14 @@ def _bilinear(component, pts: np.ndarray) -> np.ndarray:
 def _grid_trace_values(form, r: np.ndarray, M_phi: int) -> dict:
     """Circle traces of a grid form, read bilinearly and split into polar parts."""
     from .exterior import FieldForm
-    from .spectrum2d import _angular_nodes
+    from .spectrum2d import _angular_nodes, trace_families
     from .spherical import _sample, split_circle
 
     comps = {k: lambda x, c=c: _bilinear(c, x.T) for k, c in form.components.items()}
     sp = split_circle(FieldForm.from_callable(2, form.q, comps))
-    phi, rcol = _angular_nodes(M_phi), r[:, None]
+    phi = _angular_nodes(M_phi)
     rho, tau = _sample(sp.rho, r, phi), _sample(sp.tau, r, phi)
-    if form.q == 0:
-        return {"c": tau}
-    if form.q == 1:
-        return {"a": rho, "d": rcol * tau}
-    return {"b": rcol * rho}
+    return trace_families(form.q, r[:, None], rho=rho, tau=tau)
 
 
 def _run_expand(args, threads) -> int:

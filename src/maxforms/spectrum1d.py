@@ -51,14 +51,12 @@ def analytic_pair(n: int) -> EigenPair1D:
 
 @dataclass
 class EigenSolve1D:
-    lambdas: np.ndarray
-    vectors: np.ndarray  # column k is mode k on the offset grid
-    grid: np.ndarray
-    spacing: float
+    lambdas: np.ndarray  # the lowest count eigenvalues, ascending
 
 
 def fd_eigensolve(M: int, count: int) -> EigenSolve1D:
-    """Lowest eigenvalues of the mixed-endpoint second-derivative operator."""
+    """Lowest eigenvalues of the mixed-endpoint second-derivative operator on
+    the offset grid (eigenvalues only)."""
     from scipy.linalg import eigh_tridiagonal  # here, so the closed forms never load scipy
 
     if M < MIN_GRID:
@@ -70,11 +68,9 @@ def fd_eigensolve(M: int, count: int) -> EigenSolve1D:
     diag[0] = 1.0  # mirror ghost at phi=0: even reflection
     diag[-1] = 3.0  # Dirichlet face at phi=pi: odd reflection
     off = np.full(M - 1, -1.0)
-    lam, vec = eigh_tridiagonal(
-        diag / h**2, off / h**2, select="i", select_range=(0, count - 1)
-    )
-    grid = (np.arange(1, M + 1) - 0.5) * h
-    return EigenSolve1D(lambdas=lam, vectors=vec, grid=grid, spacing=h)
+    lam = eigh_tridiagonal(diag / h**2, off / h**2, eigvals_only=True,
+                           select="i", select_range=(0, count - 1))
+    return EigenSolve1D(lambdas=lam)
 
 
 def fd_eigenvalue_closed_form(M: int, k: int) -> float:

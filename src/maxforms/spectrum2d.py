@@ -1,12 +1,14 @@
 """Separable eigenfields on the half disk and their discrete counterparts.
 
 Every closed-form object here is a finite sum of products r^p * J_{n-1/2}(w r)
-times cos(a phi + s).  That family is closed under radial and angular
-derivatives (the Bessel factor shifts order up by one, the cosine picks up a
-quarter-period phase), under multiplication by pure powers and pure harmonics,
-and therefore under the Cartesian chain rule.  Exactness of every derivative
-is what lets the first-order system residuals sit at evaluation accuracy
-instead of at a finite-difference floor.
+times cos(a phi + s), kept in one normal form: one angular cosine sum per
+distinct radial factor r^p J_{n-1/2}(w r), so each factor is evaluated once.
+That family is closed under radial and angular derivatives (the Bessel factor
+shifts order up by one, DLMF 10.6.2; the cosine picks up a quarter-period
+phase), under multiplication by pure powers and pure harmonics, and therefore
+under the Cartesian chain rule.  Exactness of every derivative is what lets
+the first-order system residuals sit at evaluation accuracy instead of at a
+finite-difference floor.
 
 The discrete side has two routes: a finite-volume radial solver per angular
 order, and a two-dimensional mixed-boundary tensor solve, which the fast
@@ -39,70 +41,41 @@ _legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 
 @dataclass(frozen=True)
-class RadialTerm:
-    """coeff * r^power, times J_{order-1/2}(omega r) when order is set."""
+class RadialFactor:
+    """r^power, times J_{order-1/2}(omega r) when order is set."""
 
-    coeff: complex
     power: float
     order: int | None = None
     omega: float = 0.0
 
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        val = r**self.power
+        if self.order is not None:
+            val = val * eval_j(self.order, self.omega * r)
+        return val
+
     def series(self):
         """Ascending series, DLMF 10.2.2: (power, coeff, rounded factors in coeff)."""
         if self.order is None:
-            yield self.power, self.coeff, 1
+            yield self.power, 1.0, 1
             return
         nu, h = self.order - 0.5, self.omega / 2.0
         # h^nu / Gamma(nu + 1) as a product, from Gamma(3/2) = sqrt(pi) / 2
-        c = self.coeff * 2.0 * math.sqrt(h / math.pi)
+        c = 2.0 * math.sqrt(h / math.pi)
         c *= math.prod(h / (j + 0.5) for j in range(1, self.order))
         for k in itertools.count():
             yield self.power + nu + 2 * k, c, self.order + k + 2
             c *= -h * h / ((k + 1) * (nu + k + 1))
 
-
-class RadialPart:
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = tuple(t for t in terms if t.coeff != 0)
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(np.broadcast(r).shape, dtype=complex)
-        for t in self.terms:
-            val = t.coeff * r**t.power
-            if t.order is not None:
-                val = val * eval_j(t.order, t.omega * r)
-            out = out + val
-        return out
-
-    def derivative(self) -> "RadialPart":
-        out = []
-        for t in self.terms:
-            if t.order is None:
-                if t.power != 0:
-                    out.append(RadialTerm(t.coeff * t.power, t.power - 1.0))
-            else:
-                # d/dr J_nu(w r) = (nu/r) J_nu(w r) - w J_{nu+1}(w r)
-                nu = t.order - 0.5
-                out.append(
-                    RadialTerm(t.coeff * (t.power + nu), t.power - 1.0, t.order, t.omega)
-                )
-                out.append(
-                    RadialTerm(-t.coeff * t.omega, t.power, t.order + 1, t.omega)
-                )
-        return RadialPart(out)
-
-    def shifted(self, k: float) -> "RadialPart":
-        return RadialPart(
-            RadialTerm(t.coeff, t.power + k, t.order, t.omega) for t in self.terms
-        )
-
-    def scaled(self, c) -> "RadialPart":
-        return RadialPart(
-            RadialTerm(c * t.coeff, t.power, t.order, t.omega) for t in self.terms
-        )
+    def derivative(self) -> list:
+        """d/dr as (coefficient, factor) pairs, DLMF 10.6.2:
+        d/dr J_nu(w r) = (nu/r) J_nu(w r) - w J_{nu+1}(w r)."""
+        if self.order is None:
+            return [(self.power, RadialFactor(self.power - 1.0))]
+        nu = self.order - 0.5
+        return [(self.power + nu, RadialFactor(self.power - 1.0, self.order, self.omega)),
+                (-self.omega, RadialFactor(self.power, self.order + 1, self.omega))]
 
 
 @dataclass(frozen=True)
@@ -116,15 +89,9 @@ class AngularPart:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        norm = []
-        for t in terms:
-            if t.coeff == 0:
-                continue
-            f, s = t.freq, t.shift
-            if f < 0:
-                f, s = -f, -s
-            norm.append(AngularTerm(t.coeff, f, s))
-        self.terms = tuple(norm)
+        # frequencies kept non-negative; terms are immutable, so normal ones are shared
+        self.terms = tuple(AngularTerm(t.coeff, -t.freq, -t.shift) if t.freq < 0 else t
+                           for t in terms if t.coeff != 0)
 
     def __call__(self, phi):
         phi = np.asarray(phi, dtype=float)
@@ -139,6 +106,9 @@ class AngularPart:
             for t in self.terms
         )
 
+    def scaled(self, c) -> "AngularPart":
+        return AngularPart(AngularTerm(c * t.coeff, t.freq, t.shift) for t in self.terms)
+
     def product(self, other: "AngularPart") -> "AngularPart":
         out = []
         for a in self.terms:
@@ -149,12 +119,12 @@ class AngularPart:
         return AngularPart(out)
 
 
-def _cos_harm(freq: float, coeff=1.0) -> AngularPart:
-    return AngularPart([AngularTerm(coeff, freq, 0.0)])
+def _cos_harm(freq: float) -> AngularPart:
+    return AngularPart([AngularTerm(1.0, freq, 0.0)])
 
 
-def _sin_harm(freq: float, coeff=1.0) -> AngularPart:
-    return AngularPart([AngularTerm(coeff, freq, -math.pi / 2.0)])
+def _sin_harm(freq: float) -> AngularPart:
+    return AngularPart([AngularTerm(1.0, freq, -math.pi / 2.0)])
 
 
 _COS_PHI = _cos_harm(1.0)
@@ -162,36 +132,47 @@ _SIN_PHI = _sin_harm(1.0)
 
 
 class PolarScalar:
-    """Finite sum of separable products radial(r) * angular(phi)."""
+    """Finite sum of separable products factor(r) * angular(phi), one angular
+    sum per distinct radial factor."""
 
     __slots__ = ("pairs",)
 
     def __init__(self, pairs):
-        self.pairs = tuple((R, A) for R, A in pairs if R.terms and A.terms)
+        # equal factors merge by concatenating their angular terms, uncombined,
+        # so that leading_exponent still counts every product it rounds
+        merged = {}
+        for R, A in pairs:
+            if A.terms:
+                merged[R] = AngularPart(merged[R].terms + A.terms) if R in merged else A
+        self.pairs = tuple(merged.items())
 
     def __call__(self, r, phi):
         r = np.asarray(r, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        out = np.zeros(np.broadcast(r, phi).shape, dtype=complex)
-        for R, A in self.pairs:
-            out = out + R(r) * A(phi)
-        return out
+        k = len(self.pairs)
+        radial = np.array([R(r) for R, _ in self.pairs]).reshape(k, *r.shape)
+        angular = np.array([A(phi) for _, A in self.pairs]).reshape(k, *phi.shape)
+        # the sum over pairs in one pass: no grid-sized temporary per pair
+        return np.einsum("k...,k...->...", radial, angular, dtype=complex)
 
     def __add__(self, other: "PolarScalar") -> "PolarScalar":
         return PolarScalar(self.pairs + other.pairs)
 
     def scaled(self, c) -> "PolarScalar":
-        return PolarScalar((R.scaled(c), A) for R, A in self.pairs)
+        return PolarScalar((R, A.scaled(c)) for R, A in self.pairs)
 
     def partial_r(self) -> "PolarScalar":
-        return PolarScalar((R.derivative(), A) for R, A in self.pairs)
+        return PolarScalar((F, A.scaled(c)) for R, A in self.pairs for c, F in R.derivative())
 
     def partial_phi(self) -> "PolarScalar":
         return PolarScalar((R, A.derivative()) for R, A in self.pairs)
 
     def times_pure(self, power: float, angular: AngularPart) -> "PolarScalar":
         """Multiply by r^power * angular; keeps the algebra closed."""
-        return PolarScalar((R.shifted(power), A.product(angular)) for R, A in self.pairs)
+        return PolarScalar(
+            (RadialFactor(R.power + power, R.order, R.omega), A.product(angular))
+            for R, A in self.pairs
+        )
 
     def cartesian_partial(self, axis: int) -> "PolarScalar":
         dr = self.partial_r()
@@ -209,18 +190,17 @@ class PolarScalar:
         their largest at r = 1) are collected by power and frequency, cos and sin
         parts apart.  A part cancels within its first-order roundoff bound.
         """
-        terms = [(t, A) for R, A in self.pairs for t in R.terms]
         top = -math.inf
-        for t, _ in terms:
+        for R, _ in self.pairs:
             peak = 0.0  # the terms rise to a peak, then fall for good
-            for horizon, c, _ in t.series():
+            for horizon, c, _ in R.series():
                 if abs(c) <= _ROUNDOFF * (peak := max(peak, abs(c))):
                     break
             top = max(top, horizon)
-        most = sum(len(A.terms) for _, A in terms)  # terms one group can hold
+        most = sum(len(A.terms) for _, A in self.pairs)  # terms one group can hold
         groups = {}
-        for t, A in terms:
-            for p, c, factors in itertools.takewhile(lambda s: s[0] <= top, t.series()):
+        for R, A in self.pairs:
+            for p, c, factors in itertools.takewhile(lambda s: s[0] <= top, R.series()):
                 for a in A.terms:
                     w = c * a.coeff  # cos(f phi + s) = cos s cos(f phi) - sin s sin(f phi)
                     g = groups.setdefault((p, a.freq), [0.0, 0.0, 0.0])
@@ -253,7 +233,9 @@ class HalfDiskMode:
     omega: float
     normalization: float
     degree: int
-    parts: dict = field(repr=False)  # frame components as PolarScalar
+    # polar-frame parts as PolarScalar, named as in spherical.SplitForm: 'tau'
+    # the tangential part, 'rho' the radial one
+    parts: dict = field(repr=False)
 
     @property
     def nu(self) -> float:
@@ -296,27 +278,26 @@ def analytic_eigenform(q: int, n: int, m: int, role: str = "E") -> HalfDiskMode:
     omega = base_frequency(q, n, m)
     nu = n - 0.5
     c0 = _norm_constant(n, omega)
-    J = RadialPart([RadialTerm(1.0, 0.0, n, omega)])
-    D = J.derivative()
+    J, J_r = RadialFactor(0.0, n, omega), RadialFactor(-1.0, n, omega)  # J and J/r
     cosn = _cos_harm(nu)
     sinn = _sin_harm(nu)
 
     if q == 0 and role == "E":
-        degree, parts = 0, {"scalar": PolarScalar([(J, cosn)]).scaled(c0)}
+        degree, parts = 0, {"tau": PolarScalar([(J, cosn)]).scaled(c0)}
     elif q == 0 and role == "H":
         degree = 1
         parts = {
-            "r": PolarScalar([(D, cosn)]).scaled(1j / omega * c0),
-            "phi": PolarScalar([(J.shifted(-1.0), sinn)]).scaled(-1j * nu / omega * c0),
+            "rho": PolarScalar([(J, cosn)]).partial_r().scaled(1j / omega * c0),
+            "tau": PolarScalar([(J_r, sinn)]).scaled(-1j * nu / omega * c0),
         }
     elif q == 1 and role == "E":
         degree = 1
         parts = {
-            "r": PolarScalar([(J.shifted(-1.0), cosn)]).scaled(-nu / omega * c0),
-            "phi": PolarScalar([(D, sinn)]).scaled(c0 / omega),
+            "rho": PolarScalar([(J_r, cosn)]).scaled(-nu / omega * c0),
+            "tau": PolarScalar([(J, sinn)]).partial_r().scaled(c0 / omega),
         }
     else:
-        degree, parts = 2, {"vol": PolarScalar([(J, sinn)]).scaled(-1j * c0)}
+        degree, parts = 2, {"rho": PolarScalar([(J, sinn)]).scaled(-1j * c0)}
     return HalfDiskMode(
         q=q, role=role, n=n, m=m, omega=omega,
         normalization=c0, degree=degree, parts=parts,
@@ -326,13 +307,13 @@ def analytic_eigenform(q: int, n: int, m: int, role: str = "E") -> HalfDiskMode:
 def cartesian_components(mode: HalfDiskMode) -> dict:
     """Cartesian component PolarScalars keyed like form multi-indices."""
     if mode.degree == 0:
-        return {(): mode.parts["scalar"]}
+        return {(): mode.parts["tau"]}
     if mode.degree == 1:
-        fr, fphi = mode.parts["r"], mode.parts["phi"]
+        fr, fphi = mode.parts["rho"], mode.parts["tau"]
         f1 = fr.times_pure(0.0, _COS_PHI) + fphi.times_pure(0.0, _SIN_PHI).scaled(-1.0)
         f2 = fr.times_pure(0.0, _SIN_PHI) + fphi.times_pure(0.0, _COS_PHI)
         return {(1,): f1, (2,): f2}
-    return {(1, 2): mode.parts["vol"]}
+    return {(1, 2): mode.parts["rho"]}
 
 
 def to_field_form(mode: HalfDiskMode) -> FieldForm:
@@ -379,11 +360,29 @@ def maxwell_residual_2d(q: int, n: int, m: int, samples: int = 120, seed: int = 
 
 
 def radial_nodes(M: int) -> np.ndarray:
+    if M < 1:
+        raise ValueError(f"radial cells must be positive, got {M}")
     return (np.arange(1, M + 1) - 0.5) / M
 
 
 def _angular_nodes(M: int) -> np.ndarray:
+    if M < 1:
+        raise ValueError(f"angular cells must be positive, got {M}")
     return (np.arange(1, M + 1) - 0.5) * (HALF_ARC / M)
+
+
+def trace_families(degree: int, r, rho=None, tau=None) -> dict:
+    """Circle traces of a form of the given degree, by stored family letter.
+
+    rho and tau are its radial and tangential parts (as in spherical.SplitForm)
+    on an (r, phi) grid, r the radius column: c <- tau for a scalar; a <- rho
+    and d <- r tau for a one-form; b <- r rho for a top form.
+    """
+    if degree == 0:
+        return {"c": tau}
+    if degree == 1:
+        return {"a": rho, "d": r * tau}
+    return {"b": r * rho}
 
 
 @dataclass
@@ -441,16 +440,8 @@ def extract_coefficients(
     """Project each circle trace of an eigenform onto the half-circle basis."""
     r = radial_nodes(M_r)
     rg, pg = r[:, None], _angular_nodes(M_phi)[None, :]
-
-    if mode.degree == 0:
-        values = {"c": mode.parts["scalar"](rg, pg)}
-    elif mode.degree == 1:
-        values = {
-            "a": mode.parts["r"](rg, pg),
-            "d": rg * mode.parts["phi"](rg, pg),
-        }
-    else:
-        values = {"b": rg * mode.parts["vol"](rg, pg)}
+    values = trace_families(mode.degree, rg,
+                            **{k: ps(rg, pg) for k, ps in mode.parts.items()})
     return project_angular(values, n_list, r)
 
 
@@ -507,15 +498,14 @@ def coeff_ode_residuals(q: int, n: int, m: int, M_r: int = 400) -> dict:
 
 @dataclass
 class RadialSolve:
+    """The lowest finite-volume eigenvalues of one radial problem, ascending."""
+
     lambdas: np.ndarray
-    vectors: np.ndarray | None
-    nodes: np.ndarray
-    spacing: float
 
 
-def _radial_kernel(angular, M: int, count: int, bc: str, vectors=False) -> RadialSolve:
-    """Finite-volume radial eigenvalues (eigenvectors on request) with angular
-    term angular / r^2: nu^2 for order nu, or a discrete angular eigenvalue.
+def _radial_kernel(angular, M: int, count: int, bc: str) -> RadialSolve:
+    """Finite-volume radial eigenvalues with angular term angular / r^2: nu^2
+    for order nu, or a discrete angular eigenvalue.
 
     Cell centers r_i = (i - 1/2) h on (0, 1); the r = 0 face carries zero
     flux weight so no condition is imposed there.  At r = 1 an odd-reflection
@@ -536,20 +526,14 @@ def _radial_kernel(angular, M: int, count: int, bc: str, vectors=False) -> Radia
     diag[-1] = 3.0 * M - 1.0 if bc == "dirichlet" else M - 1.0
     diag = diag + angular * h / r
     # symmetric similarity with the cell mass diag(h r_i)
-    mass = h * r
-    lam = eigh_tridiagonal(diag / mass, -idx[:-1] / (h * np.sqrt(r[:-1] * r[1:])),
-                           eigvals_only=not vectors, select="i", select_range=(0, count - 1))
-    vec = None
-    if vectors:
-        lam, vec = lam
-        vec = vec / np.sqrt(mass)[:, None]
-        vec /= np.linalg.norm(vec, axis=0, keepdims=True)
-    return RadialSolve(lambdas=lam, vectors=vec, nodes=r, spacing=h)
+    lam = eigh_tridiagonal(diag / (h * r), -idx[:-1] / (h * np.sqrt(r[:-1] * r[1:])),
+                           eigvals_only=True, select="i", select_range=(0, count - 1))
+    return RadialSolve(lambdas=lam)
 
 
 def radial_eigensolve(n: int, M: int, count: int, bc: str = "dirichlet") -> RadialSolve:
-    """Finite-volume eigenpairs of the order nu = n - 1/2 radial operator."""
-    return _radial_kernel((n - 0.5) ** 2, M, count, bc, vectors=True)
+    """Finite-volume eigenvalues of the order nu = n - 1/2 radial operator."""
+    return _radial_kernel((n - 0.5) ** 2, M, count, bc)
 
 
 def _merge_orders(count: int, values_of) -> list:
@@ -649,7 +633,6 @@ def gram_matrix_2d(modes, M_r: int = 32, M_phi: int = 16) -> np.ndarray:
     rg, pg = (s * s)[:, None], _angular_nodes(M_phi)[None, :]
     weight = (w * s**3)[:, None] * (HALF_ARC / M_phi)  # r dr = 2 s^3 ds, ds = dx / 2
 
-    keys = {0: ("scalar",), 1: ("r", "phi"), 2: ("vol",)}[degree]
-    # (modes, components, M_r, M_phi), flattened past the mode axis
-    C = np.array([[mode.parts[k](rg, pg) for k in keys] for mode in modes])
+    # (modes, components, M_r, M_phi), flattened past the mode axis; rho before tau
+    C = np.array([[ps(rg, pg) for ps in mode.parts.values()] for mode in modes])
     return (C * weight).reshape(len(modes), -1) @ C.reshape(len(modes), -1).conj().T

@@ -275,6 +275,41 @@ def test_malformed_grid_exits_2(capsys):
     capsys.readouterr()
 
 
+# every integer option of every subcommand, at 0 and -1; --q and --seed take 0
+_INTEGER_OPTIONS = [
+    (["identities"], "--N"), (["identities"], "--q"), (["identities"], "--cells"),
+    (["identities"], "--seed"),
+    (["bessel-zeros", "--n", "1"], "--n"), (["bessel-zeros", "--n", "1"], "--count"),
+    (["eigen1d"], "--modes"), (["eigen1d"], "--grid"),
+    (["eigen2d"], "--q"), (["eigen2d"], "--modes"), (["eigen2d"], "--grid"),
+    *((["regularity", "--q", "0", "--n", "1", "--m", "1"], o) for o in ("--q", "--n", "--m")),
+    *((["expand", "--q", "0", "--n", "1", "--m", "1"], o)
+      for o in ("--q", "--n", "--m", "--orders", "--radial-cells", "--angular-cells")),
+]
+_INVALID = [(base, option, value) for base, option in _INTEGER_OPTIONS
+            for value in ("0", "-1") if value != "0" or option not in ("--q", "--seed")]
+
+
+@pytest.mark.parametrize("base,option,value", _INVALID,
+                         ids=[f"{b[0]}{o}={v}" for b, o, v in _INVALID])
+def test_invalid_integer_options_exit_2_with_a_message(base, option, value, capsys):
+    argv = list(base)
+    if option in argv:
+        argv[argv.index(option) + 1] = value
+    else:
+        argv += [option, value]
+    try:
+        code = cli.main(argv)  # any other exception escapes with a traceback
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "maxforms: error:" in err or f"error: argument {option}" in err
+    assert "Traceback" not in err
+    if option.endswith("cells"):  # the message names the option
+        assert option.removeprefix("--").replace("-", " ") in err
+
+
 def test_missing_form_file_exits_2(capsys):
     code, _ = run(["expand", "--form", "/nonexistent/missing.json"], capsys)
     assert code == 2

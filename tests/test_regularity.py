@@ -15,8 +15,7 @@ from maxforms.spectrum2d import (
     AngularPart,
     AngularTerm,
     PolarScalar,
-    RadialPart,
-    RadialTerm,
+    RadialFactor,
     analytic_eigenform,
     cartesian_components,
 )
@@ -76,8 +75,7 @@ def test_saturated_energy_reads_its_exponent():
 
 def _polar(power, freq, order=None, omega=0.0):
     return PolarScalar(
-        [(RadialPart([RadialTerm(1.0, power, order, omega)]),
-          AngularPart([AngularTerm(1.0, freq, 0.0)]))]
+        [(RadialFactor(power, order, omega), AngularPart([AngularTerm(1.0, freq, 0.0)]))]
     )
 
 
@@ -108,7 +106,7 @@ def test_leading_exponent_of_hand_built_fields():
 def test_constant_field_reads_the_exact_flat_slope():
     # no gradient: every ladder energy is 0, so there is no power law to fit
     const = PolarScalar(
-        [(RadialPart([RadialTerm(2.0, 0.0)]), AngularPart([AngularTerm(1.0, 0.0, 0.0)]))]
+        [(RadialFactor(0.0), AngularPart([AngularTerm(2.0, 0.0, 0.0)]))]
     )
     rep = classify_components({(): const})
     assert not rep.seminorms.any()
@@ -121,7 +119,7 @@ def test_energy_matches_closed_form_for_linear_field():
     # f = r cos(phi) = x1 has gradient (1, 0), so the energy over the
     # half annulus is pi (1 - eps^2) / 2 exactly
     linear = PolarScalar(
-        [(RadialPart([RadialTerm(1.0, 1.0)]), AngularPart([AngularTerm(1.0, 1.0, 0.0)]))]
+        [(RadialFactor(1.0), AngularPart([AngularTerm(1.0, 1.0, 0.0)]))]
     )
     for eps in (0.2, 0.05):
         val = annulus_gradient_energy({(): linear}, eps)

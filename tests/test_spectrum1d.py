@@ -52,17 +52,6 @@ def test_closed_form_has_no_cancellation_on_fine_grids():
     assert abs(fd_eigenvalue_closed_form(M, k) - oracle) <= 1e-13 * oracle
 
 
-def test_discrete_eigenvector_is_sampled_half_integer_cosine():
-    sol = fd_eigensolve(64, 4)
-    omega = 3 - 0.5
-    sampled = np.cos(omega * sol.grid)
-    sampled /= np.linalg.norm(sampled)
-    vec = sol.vectors[:, 2] / np.linalg.norm(sol.vectors[:, 2])
-    if np.dot(vec, sampled) < 0:
-        vec = -vec
-    assert np.max(np.abs(vec - sampled)) <= 1e-8
-
-
 def test_eigenvalues_converge_at_second_order():
     grids = [250, 500, 1000, 2000]
     for n in range(1, 6):

@@ -11,8 +11,7 @@ from maxforms.spectrum2d import (
     AngularPart,
     AngularTerm,
     PolarScalar,
-    RadialPart,
-    RadialTerm,
+    RadialFactor,
     analytic_eigenform,
     base_frequency,
     cartesian_components,
@@ -41,14 +40,18 @@ def test_base_frequencies_match_independent_roots():
 
 
 def test_radial_algebra_derivative_matches_differences():
-    part = RadialPart(
-        [
-            RadialTerm(1.3, -1.0, 2, 5.1),
-            RadialTerm(-0.4 + 0.2j, 2.0, 1, 3.3),
-            RadialTerm(0.7, 3.0, None),
-        ]
-    )
-    dpart = part.derivative()
+    terms = [
+        (1.3, RadialFactor(-1.0, 2, 5.1)),
+        (-0.4 + 0.2j, RadialFactor(2.0, 1, 3.3)),
+        (0.7, RadialFactor(3.0)),
+    ]
+
+    def part(r):
+        return sum(c * F(r) for c, F in terms)
+
+    def dpart(r):
+        return sum(c * d * G(r) for c, F in terms for d, G in F.derivative())
+
     r = np.linspace(0.3, 0.9, 7)
     h = 1e-6
     fd = (part(r + h) - part(r - h)) / (2 * h)
@@ -67,7 +70,7 @@ def test_angular_algebra_product_and_derivative():
 
 def test_cartesian_partials_match_differences():
     mode = analytic_eigenform(0, 2, 1, "H")
-    ps = mode.parts["r"]
+    ps = mode.parts["rho"]
     for axis in (1, 2):
         dps = ps.cartesian_partial(axis)
         for (x1, x2) in [(0.4, 0.3), (-0.2, 0.55), (0.1, 0.7)]:
@@ -79,6 +82,59 @@ def test_cartesian_partials_match_differences():
             fd = (ps(r1, p1) - ps(r0, p0)) / (2 * h)
             rr, pp = math.hypot(x1, x2), math.atan2(x2, x1)
             assert abs(dps(rr, pp) - fd) <= 1e-6
+
+
+def _built_scalars(mode):
+    """The frame parts, Cartesian components and Cartesian partials of a mode."""
+    comps = cartesian_components(mode)
+    partials = [ps.cartesian_partial(axis) for ps in comps.values() for axis in (1, 2)]
+    return [*mode.parts.values(), *comps.values(), *partials]
+
+
+@pytest.mark.parametrize("role", ["E", "H"])
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (7, 2)])
+def test_polar_scalars_keep_one_angular_sum_per_radial_factor(q, n, m, role):
+    for ps in _built_scalars(analytic_eigenform(q, n, m, role)):
+        factors = [R for R, _ in ps.pairs]
+        assert len(set(factors)) == len(factors)
+        assert all(A.terms for _, A in ps.pairs)
+
+
+@pytest.mark.parametrize("label", [(0, 1, 1, "H"), (1, 3, 2, "E")])
+def test_evaluation_calls_eval_j_once_per_bessel_factor(label, monkeypatch):
+    import maxforms.spectrum2d as s2d
+
+    orders = []
+
+    def counted(order, x):
+        orders.append(order)
+        return eval_j(order, x)
+
+    monkeypatch.setattr(s2d, "eval_j", counted)
+    comps = cartesian_components(analytic_eigenform(*label))
+    partials = [ps.cartesian_partial(axis) for ps in comps.values() for axis in (1, 2)]
+    r, phi = np.linspace(0.05, 0.95, 7)[:, None], np.linspace(0.1, 3.0, 9)[None, :]
+    orders.clear()  # the normalization evaluates J once on its own
+    for ps in comps.values():
+        ps(r, phi)
+    assert len(orders) == 4  # J_n / r and J_(n+1) per component
+    orders.clear()
+    for ps in partials:
+        ps(r, phi)
+    assert len(orders) == 12  # J_n / r^2, J_(n+1) / r and J_(n+2) per partial
+
+
+def test_merged_sum_equals_the_sum_of_its_pieces():
+    pieces = _built_scalars(analytic_eigenform(1, 3, 2, "E"))
+    merged = pieces[0]
+    for ps in pieces[1:]:
+        merged = merged + ps
+    assert len(merged.pairs) < sum(len(ps.pairs) for ps in pieces)
+    rng = np.random.default_rng(12)
+    r, phi = rng.uniform(0.05, 1.0, 40), rng.uniform(0.0, math.pi, 40)
+    expected = sum(ps(r, phi) for ps in pieces)
+    assert np.max(np.abs(merged(r, phi) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("q", [0, 1])
@@ -188,17 +244,6 @@ def test_radial_solver_flux_pinned():
     sol = radial_eigensolve(1, 512, 2, bc="neumann")
     rel = np.abs(sol.lambdas - targets) / targets
     assert np.all(rel <= 1e-3)
-
-
-def test_radial_eigenvector_matches_profile():
-    sol = radial_eigensolve(2, 256, 1, bc="dirichlet")
-    omega = zeros_j(2, 1).zeros[0]
-    prof = eval_j(2, omega * sol.nodes)
-    prof = prof / np.linalg.norm(prof)
-    v = sol.vectors[:, 0]
-    if np.dot(v, prof) < 0:
-        v = -v
-    assert np.max(np.abs(v - prof)) <= 1e-5
 
 
 def test_two_dimensional_solver_hits_reference_spectrum():
@@ -311,8 +356,8 @@ def test_field_form_agrees_with_frame_components():
     x = np.array([r * math.cos(phi), r * math.sin(phi)])
     f1 = ff.components[(1,)](x)
     f2 = ff.components[(2,)](x)
-    fr = complex(mode.parts["r"](r, phi))
-    fphi = complex(mode.parts["phi"](r, phi))
+    fr = complex(mode.parts["rho"](r, phi))
+    fphi = complex(mode.parts["tau"](r, phi))
     assert abs(f1 * math.cos(phi) + f2 * math.sin(phi) - fr) <= 1e-12
     assert abs(-f1 * math.sin(phi) + f2 * math.cos(phi) - fphi) <= 1e-12
     assert set(cartesian_components(mode)) == {(1,), (2,)}
