@@ -337,6 +337,8 @@ def _random_grid_form(N: int, q: int, cells: int, seed: int):
 def _run_identities(args, threads) -> int:
     from . import exterior
 
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if args.form:
         with open(args.form, encoding="ascii") as fh:
             a = exterior.grid_form_from_json(fh.read())

@@ -14,14 +14,19 @@ multi-index.  Coefficients come in two interchangeable representations:
 
 Operations: wedge, hodge, exterior derivative, codifferential (two routes),
 pullback along a smooth map, and the pair of material transformations built
-from pullback and hodge.
+from pullback and hodge.  Wedge, hodge, the exterior derivative and the
+codifferential expansion each sum coefficients left to right over one cached
+index table of `multiindex`.  A degree outside 0..N has no indices, so the
+result of an operator keeps the degree it computes (a wedge past N has degree
+p + r) with no components, and a coefficient with no terms is zero in the
+operands' representation.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -29,11 +34,12 @@ import numpy as np
 
 from .multiindex import (
     MultiIndex,
-    complement,
-    concat_sign,
+    codiff_table,
+    derivative_table,
     enumerate_ordered,
-    insert_sign,
+    hodge_table,
     sign_constants,
+    wedge_table,
 )
 
 _FD_STEP = 1e-6
@@ -257,10 +263,6 @@ class FieldForm:
         self.components = comp
 
     @property
-    def is_zero_degree_range(self) -> bool:
-        return not (0 <= self.q <= self.N)
-
-    @property
     def kind(self) -> str:
         for v in self.components.values():
             return "grid" if isinstance(v, GridScalar) else "callable"
@@ -268,29 +270,25 @@ class FieldForm:
 
     @classmethod
     def from_callable(cls, N, q, components=None):
-        components = dict(components or {})
-        full = {}
+        """Wrap plain callables as fields and zero-fill the missing components;
+        a key outside the degree-q index set is refused by the constructor."""
+        full = {tuple(k): c if isinstance(c, ScalarField) else ScalarField(c)
+                for k, c in (components or {}).items()}
         for key in enumerate_ordered(q, N):
-            c = components.get(key, components.get(tuple(key)))
-            if c is None:
-                c = ScalarField.constant(0.0)
-            elif not isinstance(c, ScalarField):
-                c = ScalarField(c)
-            full[key] = c
+            full.setdefault(key, ScalarField.constant(0.0))
         return cls(N, q, full)
 
     @classmethod
     def from_grid(cls, N, q, components, spacing, origin=None):
-        components = {tuple(k): v for k, v in components.items()}
-        shape = next((np.shape(v) for v in components.values()), None)
-        if shape is None:
+        """Wrap arrays as grid fields and zero-fill the missing components like
+        the first one; a key outside the degree-q index set is refused."""
+        full = {tuple(k): v if isinstance(v, GridScalar) else GridScalar(v, spacing, origin)
+                for k, v in components.items()}
+        if not full:
             raise ValueError("at least one component array required")
-        full = {}
+        proto = next(iter(full.values()))
         for key in enumerate_ordered(q, N):
-            v = components.get(tuple(key))
-            if v is None:
-                v = np.zeros(shape)
-            full[key] = v if isinstance(v, GridScalar) else GridScalar(v, spacing, origin)
+            full.setdefault(key, proto.zero_like())
         return cls(N, q, full)
 
     @classmethod
@@ -330,71 +328,44 @@ def evaluate(form: FieldForm, x) -> dict:
     return {k: complex(v(x)) for k, v in form.components.items()}
 
 
-def _zero_form(N: int, q: int, *templates: FieldForm) -> FieldForm:
-    """Zero form of the requested degree, matching the templates' representation."""
-    if not 0 <= q <= N:
-        return FieldForm(N, q, {})
-    fields = (v for t in templates for v in t.components.values())
-    proto = next(fields, ScalarField.constant(0.0))
-    return FieldForm(N, q, {k: proto.zero_like() for k in enumerate_ordered(q, N)})
+def _sum_table(N: int, q: int, table, term, *operands: FieldForm) -> FieldForm:
+    """The degree-q form whose component K sums `term(*entry)` over K's table
+    entries from left to right; an empty sum is zero in the operands' representation."""
+    zero = next((v.zero_like for f in operands for v in f.components.values()),
+                functools.partial(ScalarField.constant, 0.0))
+    out = {}
+    for K, entries in table:
+        terms = (term(*entry) for entry in entries)
+        first = next(terms, None)
+        out[K] = zero() if first is None else functools.reduce(operator.add, terms, first)
+    return FieldForm(N, q, out)
 
 
 def wedge(a: FieldForm, b: FieldForm) -> FieldForm:
     """Exterior product; antisymmetrized coefficient products with split signs."""
     if a.N != b.N:
         raise ValueError("dimension mismatch")
-    N, q = a.N, a.q + b.q
-    if a.is_zero_degree_range or b.is_zero_degree_range or q > N:
-        return _zero_form(N, min(q, N + 1), a, b)
-    kinds = {a.kind, b.kind} - {"empty"}
-    if len(kinds) > 1:
+    if len({a.kind, b.kind} - {"empty"}) > 1:
         raise ValueError("cannot wedge callable with grid representation")
-    out = {}
-    for K in enumerate_ordered(q, N):
-        acc = None
-        for I in itertools.combinations(K, a.q):
-            J = tuple(i for i in K if i not in I)
-            sign = concat_sign(I, J)
-            term = sign * (a.components[MultiIndex(I)] * b.components[MultiIndex(J)])
-            acc = term if acc is None else acc + term
-        out[K] = acc
-    return FieldForm(N, q, out)
+    return _sum_table(a.N, a.q + b.q, wedge_table(a.q, b.q, a.N),
+                      lambda I, J, sign: sign * (a.components[I] * b.components[J]), a, b)
 
 
 def hodge(a: FieldForm) -> FieldForm:
     """Hodge star: coefficient I goes to the complementary index with a split sign."""
-    N = a.N
-    if a.is_zero_degree_range:
-        return _zero_form(N, N - a.q, a)
-    out = {}
-    for I in enumerate_ordered(a.q, N):
-        Ic = complement(I, N)
-        out[Ic] = concat_sign(I, Ic) * a.components[I]
-    return FieldForm(N, N - a.q, out)
+    return FieldForm(a.N, a.N - a.q,
+                     {Ic: sign * a.components[I] for Ic, I, sign in hodge_table(a.q, a.N)})
 
 
 def ext_d(a: FieldForm) -> FieldForm:
     """Exterior derivative."""
-    N, q = a.N, a.q
-    if a.is_zero_degree_range or q + 1 > N:
-        return _zero_form(N, q + 1, a)
-    out = {}
-    for I in enumerate_ordered(q + 1, N):
-        acc = None
-        for j in I:
-            rest = I.remove(j)
-            term = insert_sign(j, rest) * a.components[rest].partial(j)
-            acc = term if acc is None else acc + term
-        out[I] = acc
-    return FieldForm(N, q + 1, out)
+    return _sum_table(a.N, a.q + 1, derivative_table(a.q, a.N),
+                      lambda lower, j, sign: sign * a.components[lower].partial(j), a)
 
 
 def codiff(a: FieldForm) -> FieldForm:
     """Codifferential via its star-derivative-star definition."""
-    if a.is_zero_degree_range or a.q - 1 < 0:
-        return _zero_form(a.N, a.q - 1, a)
-    sign = sign_constants(a.q, a.N).codiff_sign
-    return sign * hodge(ext_d(hodge(a)))
+    return sign_constants(a.q, a.N).codiff_sign * hodge(ext_d(hodge(a)))
 
 
 def codiff_expansion(a: FieldForm) -> FieldForm:
@@ -402,17 +373,8 @@ def codiff_expansion(a: FieldForm) -> FieldForm:
 
     Kept as an independent route; tests require it to agree with `codiff`.
     """
-    N, q = a.N, a.q
-    if a.is_zero_degree_range or q - 1 < 0:
-        return _zero_form(N, q - 1, a)
-    out = {}
-    for I in enumerate_ordered(q - 1, N):
-        acc = None
-        for j in complement(I, N):
-            term = insert_sign(j, I) * a.components[I.insert(j)].partial(j)
-            acc = term if acc is None else acc + term
-        out[I] = acc
-    return FieldForm(N, q - 1, out)
+    return _sum_table(a.N, a.q - 1, codiff_table(a.q, a.N),
+                      lambda upper, j, sign: sign * a.components[upper].partial(j), a)
 
 
 @dataclass
@@ -484,8 +446,8 @@ def pullback(tau: SmoothMap, a: FieldForm) -> FieldForm:
     if a.N != tau.target_dim:
         raise ValueError("form dimension does not match map target")
     N_src, q = tau.source_dim, a.q
-    if a.is_zero_degree_range or q > N_src:
-        return _zero_form(N_src, min(q, N_src + 1))
+    if not 0 <= q <= N_src:
+        return FieldForm(N_src, q, {})
     J = tau.constant_jacobian
     fixed = None if J is None else _compound(J.T, q)  # M[K, I], K over target indices
     last = [(None, None)]  # (key, coefficient rows) of the last batch, read as one pair
@@ -583,14 +545,52 @@ def grid_form_to_json(form: FieldForm) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _field(doc, name: str, where: str = ""):
+    if not isinstance(doc, dict) or name not in doc:
+        raise ValueError(f"grid form: missing field '{where}{name}'")
+    return doc[name]
+
+
+def _numbers(value, field: str, shape: tuple) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"grid form: field '{field}' must hold numbers") from None
+    if arr.shape != shape:
+        raise ValueError(f"grid form: field '{field}' has shape {arr.shape}, expected {shape}")
+    return arr
+
+
 def grid_form_from_json(text: str) -> FieldForm:
+    """Read a grid form written by `grid_form_to_json`.
+
+    A malformed document raises a ValueError that names the field at fault.
+    """
     doc = json.loads(text)
-    spacing = tuple(doc["grid"]["spacing"])
-    origin = tuple(doc["grid"]["origin"])
+    N, q = _field(doc, "N"), _field(doc, "q")
+    if type(N) is not int or type(q) is not int:
+        raise ValueError("grid form: fields 'N' and 'q' must be integers")
+    grid = _field(doc, "grid")
+    shape = _field(grid, "shape", "grid.")
+    if not (isinstance(shape, list) and len(shape) == N
+            and all(type(n) is int and n > 0 for n in shape)):
+        raise ValueError(f"grid form: field 'grid.shape' must list N = {N} positive integers")
+    shape = tuple(shape)
+    spacing, origin = (tuple(_numbers(_field(grid, name, "grid."), "grid." + name, (N,)).tolist())
+                       for name in ("spacing", "origin"))
+    if not all(h > 0 for h in spacing):
+        raise ValueError("grid form: field 'grid.spacing' must be positive")
+    entries = _field(doc, "components")
+    if not isinstance(entries, dict):
+        raise ValueError("grid form: field 'components' must be an object")
     components = {}
-    for key, payload in doc["components"].items():
-        arr = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(
-            payload["im"], dtype=float
-        )
-        components[_key_parse(key)] = GridScalar(arr, spacing, origin)
-    return FieldForm.from_grid(doc["N"], doc["q"], components, spacing, origin)
+    for key, payload in entries.items():
+        where = f"components.{key}"
+        re, im = (_numbers(_field(payload, part, where + "."), f"{where}.{part}", shape)
+                  for part in ("re", "im"))
+        try:
+            index = _key_parse(key)
+        except ValueError as exc:
+            raise ValueError(f"grid form: bad key '{where}': {exc}") from None
+        components[index] = GridScalar(re + 1j * im, spacing, origin)
+    return FieldForm.from_grid(N, q, components, spacing, origin)

@@ -93,6 +93,45 @@ def insert_sign(j: int, index) -> int:
     return perm_sign((j,) + tuple(index))
 
 
+# -- operator tables ----------------------------------------------------------
+#
+# One table per (degree, N) for each exterior operator, in the order its
+# coefficient sums run.  A degree outside 0..N has no indices, so a table
+# lists no target or no term for it.
+
+
+@functools.cache
+def derivative_table(q: int, N: int) -> tuple:
+    """Exterior derivative of a q-form: per target I of degree q + 1, the terms
+    (I without j, j, sign of sorting (j, *I without j)) for j in I ascending."""
+    return tuple((I, tuple((I.remove(j), j, insert_sign(j, I.remove(j))) for j in I))
+                 for I in _ordered(q + 1, N))
+
+
+@functools.cache
+def codiff_table(q: int, N: int) -> tuple:
+    """Codifferential expansion of a q-form: per target I of degree q - 1, the
+    terms (I with j, j, sign of sorting (j, *I)) for j outside I ascending."""
+    return tuple((I, tuple((I.insert(j), j, insert_sign(j, I)) for j in complement(I, N)))
+                 for I in _ordered(q - 1, N))
+
+
+@functools.cache
+def hodge_table(q: int, N: int) -> tuple:
+    """Hodge star of a q-form: per source I, (complement Ic, I, sign of sorting I + Ic)."""
+    return tuple((complement(I, N), I, concat_sign(I, complement(I, N))) for I in _ordered(q, N))
+
+
+@functools.cache
+def wedge_table(p: int, r: int, N: int) -> tuple:
+    """Wedge of a p-form with an r-form: per target K of degree p + r, the terms
+    (I, K without I, sign of sorting I + K without I) for the p-subsets I of K
+    in `itertools.combinations` order."""
+    return tuple((K, tuple((I, J, concat_sign(I, J)) for I in _ordered(p, N) if set(I) <= set(K)
+                           for J in [MultiIndex(i for i in K if i not in I)]))
+                 for K in _ordered(p + r, N))
+
+
 @dataclass(frozen=True)
 class SignConstants:
     """The four involution/duality signs attached to a degree q in dimension N.

@@ -306,13 +306,86 @@ def test_invalid_integer_options_exit_2_with_a_message(base, option, value, caps
     assert code == 2
     assert "maxforms: error:" in err or f"error: argument {option}" in err
     assert "Traceback" not in err
-    if option.endswith("cells"):  # the message names the option
+    if option.endswith("cells") or option == "--seed":  # the message names the option
         assert option.removeprefix("--").replace("-", " ") in err
 
 
 def test_missing_form_file_exits_2(capsys):
     code, _ = run(["expand", "--form", "/nonexistent/missing.json"], capsys)
     assert code == 2
+
+
+# a 1-form on a 2x2 grid that stores only its (1,) component; the grids match
+# the partner form `identities` draws (spacing 0.125), so it checks clean
+_STORED = {"N": 2, "q": 1,
+           "grid": {"shape": [2, 2], "spacing": [0.125, 0.125], "origin": [0.0, 0.0]},
+           "components": {"1": {"re": [[0, 1], [2, 3]], "im": [[0, 0], [1, 0]]}}}
+
+
+def _stored(path, value):
+    """_STORED with `value` at the slash-separated `path` (None deletes the field)."""
+    doc = json.loads(json.dumps(_STORED))
+    *parents, leaf = path.split("/")
+    node = doc
+    for name in parents:
+        node = node[name]
+    if value is None:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    return json.dumps(doc)
+
+
+_MALFORMED = {
+    "not-json": "{",
+    "array": "[1, 2]",
+    "no-grid": json.dumps({"N": 2, "q": 1}),
+    "no-q": _stored("q", None),
+    "N-string": _stored("N", "2"),
+    "q-float": _stored("q", 1.0),
+    "grid-list": _stored("grid", [2, 2]),
+    "shape-short": _stored("grid/shape", [2]),
+    "shape-zero": _stored("grid/shape", [2, 0]),
+    "no-spacing": _stored("grid/spacing", None),
+    "spacing-text": _stored("grid/spacing", ["a", 0.125]),
+    "spacing-zero": _stored("grid/spacing", [0.0, 0.125]),
+    "origin-long": _stored("grid/origin", [0.0, 0.0, 0.0]),
+    "components-list": _stored("components", [1]),
+    "components-empty": _stored("components", {}),
+    "key-text": _stored("components/a", _STORED["components"]["1"]),
+    "key-unsorted": _stored("components/2,1", _STORED["components"]["1"]),
+    "key-degree": _stored("components/1,2", _STORED["components"]["1"]),
+    "key-range": _stored("components/3", _STORED["components"]["1"]),
+    "payload-list": _stored("components/1", [1]),
+    "no-im": _stored("components/1/im", None),
+    "shape-mismatch": _stored("components/1/re", [[0, 1], [2, 3], [4, 5]]),
+    "ragged": _stored("components/1/re", [[0, 1], [2]]),
+    "text-values": _stored("components/1/im", [["a", 0], [0, 0]]),
+}
+
+
+def test_stored_form_may_omit_components(tmp_path, capsys):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(_STORED))
+    form = exterior.grid_form_from_json(path.read_text())
+    assert not form.components[(2,)].values.any()
+    code, out = run(["identities", "--form", str(path), "--strict"], capsys)
+    assert code == 0 and json.loads(out)["results"]["component_count"] == 2
+    code, _ = run(["expand", "--form", str(path), "--orders", "1", "--radial-cells", "4",
+                   "--angular-cells", "8"], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["identities", "expand"])
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_form_file_exits_2_with_a_message(name, command, tmp_path, capsys):
+    path = tmp_path / "form.json"
+    path.write_text(_MALFORMED[name])
+    code = cli.main([command, "--form", str(path)])  # other exceptions escape
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("maxforms: error:")
+    assert "Traceback" not in err
 
 
 def test_output_goes_to_file_not_stdout(tmp_path, capsys):

@@ -367,6 +367,57 @@ def test_mixed_representation_wedge_rejected():
         wedge(a, b)
 
 
+def _assert_zero_form(form, N, q, like=None):
+    """Exactly the degree-q keys, every value zero; on `like`'s grid if given."""
+    assert (form.N, form.q) == (N, q)
+    assert tuple(form.components) == enumerate_ordered(q, N)
+    for v in form.components.values():
+        if like is None:
+            assert isinstance(v, ScalarField) and v(np.full(N, 0.3)) == 0
+        else:
+            assert v.grid == like.grid and not v.values.any()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("grid", [False, True], ids=["callable", "grid"])
+def test_out_of_range_degrees_give_zero_forms_on_the_full_index_set(N, grid):
+    make = random_grid_form if grid else random_callable_form
+    f0, f1, top = (make(N, q, RNG) for q in (0, 1, N))
+    like = f1.components[(1,)] if grid else None
+    below, above = codiff(f0), ext_d(top)
+    _assert_zero_form(below, N, -1)
+    _assert_zero_form(above, N, N + 1)
+    for form, q in [(ext_d(below), 0), (ext_d(above), N + 2), (hodge(below), N + 1),
+                    (hodge(above), -1), (codiff(below), -2), (codiff(above), N),
+                    (codiff_expansion(f0), -1), (codiff_expansion(below), -2),
+                    (codiff_expansion(above), N), (wedge(above, below), N),
+                    (wedge(top, f1), N + 1), (wedge(f1, above), N + 2)]:
+        _assert_zero_form(form, N, q)
+    # an empty sum takes the representation of the operand that has components
+    _assert_zero_form(wedge(below, f1), N, 0, like)
+    _assert_zero_form(wedge(f1, below), N, 0, like)
+    if not grid:
+        tau = SmoothMap.affine(np.eye(N))
+        _assert_zero_form(pullback(tau, below), N, -1)
+        _assert_zero_form(pullback(tau, above), N, N + 1)
+
+
+def test_constructors_refuse_keys_outside_the_index_set():
+    f = ScalarField.constant(1.0)
+    for extra in ({(3,): f}, {(2, 1): f}, {(1,): f, (1, 2): f}):
+        with pytest.raises(ValueError, match="outside"):
+            FieldForm.from_callable(2, 1, extra)
+        with pytest.raises(ValueError, match="outside"):
+            FieldForm.from_grid(2, 1, {k: np.ones((2, 2)) for k in extra}, (0.5, 0.5))
+
+
+def test_from_grid_zero_fills_on_the_grid_of_its_components():
+    g = GridScalar(np.ones((3, 2)), (0.5, 0.25), (1.0, 0.0))
+    form = FieldForm.from_grid(2, 1, {(2,): g}, (0.5, 0.25), (1.0, 0.0))
+    assert form.components[(2,)] is g
+    assert form.components[(1,)].grid == g.grid and not form.components[(1,)].values.any()
+
+
 def test_grid_serialization_roundtrip():
     a = random_grid_form(2, 1, RNG, shape=(5, 7), spacing=(0.25, 0.125))
     text = grid_form_to_json(a)

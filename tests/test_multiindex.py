@@ -9,12 +9,16 @@ from hypothesis import given, strategies as st
 
 from maxforms.multiindex import (
     MultiIndex,
+    codiff_table,
     complement,
     concat_sign,
+    derivative_table,
     enumerate_ordered,
+    hodge_table,
     insert_sign,
     perm_sign,
     sign_constants,
+    wedge_table,
 )
 
 
@@ -136,3 +140,46 @@ def test_explicit_small_values():
     # N=3 vector calculus: star is involutive in odd dimension
     for q in range(0, 4):
         assert sign_constants(q, 3).double_hodge == 1
+
+
+# -- operator tables, against a direct derivation from perm_sign/complement ---
+
+
+def _without(K, I):
+    return tuple(i for i in K if i not in I)
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_operator_tables_match_direct_derivation(N):
+    for q in range(-1, N + 2):
+        assert derivative_table(q, N) == tuple(
+            (I, tuple((_without(I, (j,)), j, perm_sign((j, *_without(I, (j,))))) for j in I))
+            for I in enumerate_ordered(q + 1, N))
+        assert codiff_table(q, N) == tuple(
+            (I, tuple((tuple(sorted((*I, j))), j, perm_sign((j, *I))) for j in complement(I, N)))
+            for I in enumerate_ordered(q - 1, N))
+        assert hodge_table(q, N) == tuple(
+            (complement(I, N), I, perm_sign((*I, *complement(I, N))))
+            for I in enumerate_ordered(q, N))
+        for r in range(-1, N + 2):
+            # combinations refuses a negative size; a negative degree has no splits
+            assert wedge_table(q, r, N) == tuple(
+                (K, tuple((I, _without(K, I), perm_sign((*I, *_without(K, I))))
+                          for I in (itertools.combinations(K, q) if q >= 0 else ())))
+                for K in enumerate_ordered(q + r, N))
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_derivative_and_codiff_tables_list_the_same_incidences(N):
+    for q in range(-1, N + 2):
+        up = {(lower, j, upper, sign)
+              for upper, terms in derivative_table(q, N) for lower, j, sign in terms}
+        down = {(lower, j, upper, sign)
+                for lower, terms in codiff_table(q + 1, N) for upper, j, sign in terms}
+        assert up == down
+        assert len(up) == (math.comb(N, q + 1) * (q + 1) if 0 <= q < N else 0)
+
+
+def test_tables_are_built_once():
+    assert derivative_table(2, 5) is derivative_table(2, 5)
+    assert wedge_table(1, 2, 5) is wedge_table(1, 2, 5)
