@@ -319,19 +319,19 @@ def _form_max(form) -> float:
     return float(max(vals)) if vals else 0.0
 
 
-def _random_grid_form(N: int, q: int, cells: int, seed: int):
-    """Integer-valued components on a power-of-two grid: derivatives stay exact."""
+def _random_grid_form(q: int, grid, seed: int):
+    """Integer-valued components on the given `GridSpec`: on a power-of-two
+    spacing, derivatives stay exact."""
     from .exterior import FieldForm
 
     rng = np.random.default_rng(seed)
-    shape = (cells,) * N
     comps = {}
-    for key in enumerate_ordered(q, N):
-        data = np.empty(shape, dtype=np.complex128)
-        data.real = rng.integers(-4, 5, size=shape)
-        data.imag = rng.integers(-4, 5, size=shape)
+    for key in enumerate_ordered(q, len(grid.shape)):
+        data = np.empty(grid.shape, dtype=np.complex128)
+        data.real = rng.integers(-4, 5, size=grid.shape)
+        data.imag = rng.integers(-4, 5, size=grid.shape)
         comps[key] = data
-    return FieldForm.from_grid(N, q, comps, spacing=(0.125,) * N)
+    return FieldForm.from_grid(len(grid.shape), q, comps, grid.spacing, grid.origin)
 
 
 def _run_identities(args, threads) -> int:
@@ -350,13 +350,15 @@ def _run_identities(args, threads) -> int:
             raise ValueError("degree must lie in 0..N")
         if args.cells < 1:
             raise ValueError(f"--cells must be positive, got {args.cells}")
-        a = _random_grid_form(N, q, args.cells, args.seed)
+        grid = exterior.GridSpec((args.cells,) * N, (0.125,) * N, (0.0,) * N)
+        a = _random_grid_form(q, grid, args.seed)
         source = "generated"
     if args.dump_form:
         _emit(args.dump_form, exterior.grid_form_to_json(a) + "\n")
 
-    b = _random_grid_form(N, 1, next(iter(a.components.values())).grid.shape[0],
-                          args.seed + 1) if N >= 1 else None
+    some = next(iter(a.components.values()))
+    # the partner 1-form is drawn on the grid of `a`, so wedge can pair them
+    b = _random_grid_form(1, some.grid, args.seed + 1) if N >= 1 else None
     kappa = sign_constants(q, N).double_hodge
     residuals = {
         "codiff_routes_max": _form_max(
@@ -371,7 +373,6 @@ def _run_identities(args, threads) -> int:
         residuals["wedge_anticommute_max"] = _form_max(
             exterior.wedge(a, b) - flip * exterior.wedge(b, a)
         )
-    some = next(iter(a.components.values()))
     text = _doc(
         {"N": N, "q": q, "seed": None if args.form else args.seed,
          "source": source, "threads": threads},
@@ -404,12 +405,10 @@ def _grid_trace_values(form, r: np.ndarray, M_phi: int) -> dict:
     """Circle traces of a grid form, read bilinearly and split into polar parts."""
     from .exterior import FieldForm
     from .spectrum2d import _angular_nodes, trace_families
-    from .spherical import _sample, split_circle
+    from .spherical import split_circle
 
     comps = {k: lambda x, c=c: _bilinear(c, x.T) for k, c in form.components.items()}
-    sp = split_circle(FieldForm.from_callable(2, form.q, comps))
-    phi = _angular_nodes(M_phi)
-    rho, tau = _sample(sp.rho, r, phi), _sample(sp.tau, r, phi)
+    rho, tau = split_circle(FieldForm.from_callable(2, form.q, comps), r, _angular_nodes(M_phi))
     return trace_families(form.q, r[:, None], rho=rho, tau=tau)
 
 

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum2d import HALF_ARC, _legendre, analytic_eigenform, cartesian_components
+from .spectrum2d import (
+    HALF_ARC, _angular_nodes, _legendre, analytic_eigenform, cartesian_components,
+)
 
 LADDER_RATIO = 4.0
 LEVELS = 6
@@ -46,7 +48,7 @@ def _annulus_rule(eps: float):
 def _ring_energies(partials: list, r: np.ndarray) -> np.ndarray:
     """Per radius, the angular integral of the summed squared partials."""
     h_phi = HALF_ARC / _M_PHI
-    phi = (np.arange(_M_PHI) + 0.5) * h_phi
+    phi = _angular_nodes(_M_PHI)
     rows = np.zeros(len(r))
     for p in partials:
         rows += np.sum(np.abs(p(r[:, None], phi[None, :])) ** 2, axis=1)

@@ -233,8 +233,8 @@ class HalfDiskMode:
     omega: float
     normalization: float
     degree: int
-    # polar-frame parts as PolarScalar, named as in spherical.SplitForm: 'tau'
-    # the tangential part, 'rho' the radial one
+    # polar-frame parts as PolarScalar, named as in spherical.split_circle:
+    # 'tau' the tangential part, 'rho' the radial one
     parts: dict = field(repr=False)
 
     @property
@@ -374,9 +374,9 @@ def _angular_nodes(M: int) -> np.ndarray:
 def trace_families(degree: int, r, rho=None, tau=None) -> dict:
     """Circle traces of a form of the given degree, by stored family letter.
 
-    rho and tau are its radial and tangential parts (as in spherical.SplitForm)
-    on an (r, phi) grid, r the radius column: c <- tau for a scalar; a <- rho
-    and d <- r tau for a one-form; b <- r rho for a top form.
+    rho and tau are its radial and tangential parts (as spherical.split_circle
+    samples them) on an (r, phi) grid, r the radius column: c <- tau for a
+    scalar; a <- rho and d <- r tau for a one-form; b <- r rho for a top form.
     """
     if degree == 0:
         return {"c": tau}

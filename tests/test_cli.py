@@ -155,8 +155,30 @@ def test_generated_grid_form_serializes_as_the_summed_draws(N, q, cells, seed):
         data = rng.integers(-4, 5, size=(cells,) * N) + 1j * rng.integers(-4, 5, size=(cells,) * N)
         comps[key] = data.astype(np.complex128)
     expected = exterior.FieldForm.from_grid(N, q, comps, spacing=(0.125,) * N)
-    assert (exterior.grid_form_to_json(cli._random_grid_form(N, q, cells, seed))
+    grid = exterior.GridSpec((cells,) * N, (0.125,) * N, (0.0,) * N)
+    assert (exterior.grid_form_to_json(cli._random_grid_form(q, grid, seed))
             == exterior.grid_form_to_json(expected))
+
+
+def test_identities_checks_stored_forms_on_any_grid(tmp_path, capsys):
+    # the partner 1-form of the wedge check is drawn on the stored form's grid
+    rng = np.random.default_rng(3)
+    one = {k: rng.integers(-4, 5, (6, 6)).astype(np.complex128) for k in ((1,), (2,))}
+    xs, ys = np.linspace(-1.0, 1.0, 81), np.linspace(0.0, 1.0, 41)
+    X, _ = np.meshgrid(xs, ys, indexing="ij")
+    forms = {
+        "one.json": (one, (0.25, 0.25), None),
+        "zero.json": ({(): X}, (xs[1] - xs[0], ys[1] - ys[0]), (-1.0, 0.0)),
+    }
+    for name, (comps, spacing, origin) in forms.items():
+        form = exterior.FieldForm.from_grid(2, len(next(iter(comps))), comps, spacing, origin)
+        path = tmp_path / name
+        path.write_text(exterior.grid_form_to_json(form))
+        code, out = run(["identities", "--form", str(path), "--strict"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["results"]["grid_shape"] == list(next(iter(comps.values())).shape)
+        assert "wedge_anticommute_max" in doc["residuals"]
 
 
 def test_dn_fields_reports_rank_and_gap(capsys):

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from maxforms.exterior import FieldForm, ScalarField, evaluate
-from maxforms.spherical import _sample, sphere_relation_residuals, split_circle
+from maxforms.multiindex import enumerate_ordered
+from maxforms.spherical import sphere_relation_residuals, split_circle
 
-from formutil import form_max_diff, random_callable_form
+from formutil import random_callable_form, random_scalar_field
 
 RNG = np.random.default_rng(52)
 
@@ -82,33 +83,40 @@ def rho_check(q: int, fn) -> FieldForm:
 # -- circle realization ----------------------------------------------------------
 
 
+def _cartesian_grid(r, phi):
+    R, P = np.meshgrid(r, phi, indexing="ij")
+    return R, P, np.array([R * np.cos(P), R * np.sin(P)])
+
+
 def test_split_circle_roundtrip_tau():
-    g = lambda r, phi: r**2 * math.cos(phi) + 0.3j * r
+    g = lambda r, phi: r**2 * np.cos(phi) + 0.3j * r
+    r, phi = np.array([0.5, 0.9, 1.3]), np.array([0.3, 2.1, 1.0])
+    R, P, _ = _cartesian_grid(r, phi)
     for q in (0, 1):
-        F = tau_check(q, g)
-        sp = split_circle(F)
-        for r, phi in [(0.5, 0.3), (0.9, 2.1), (1.3, 1.0)]:
-            assert sp.tau(r, phi) == pytest.approx(g(r, phi), abs=1e-13)
-            if sp.rho is not None:
-                assert abs(sp.rho(r, phi)) < 1e-13
+        rho, tau = split_circle(tau_check(q, g), r, phi)
+        assert np.max(np.abs(tau - g(R, P))) <= 1e-13
+        assert np.max(np.abs(rho)) <= 1e-13
 
 
 def test_split_circle_roundtrip_rho():
-    f = lambda r, phi: math.sin(phi) * r + 1.0j * math.cos(2 * phi)
+    f = lambda r, phi: np.sin(phi) * r + 1.0j * np.cos(2 * phi)
+    r, phi = np.array([0.5, 0.9]), np.array([0.3, 2.1])
+    R, P, _ = _cartesian_grid(r, phi)
     for q in (1, 2):
-        F = rho_check(q, f)
-        sp = split_circle(F)
-        for r, phi in [(0.5, 0.3), (0.9, 2.1)]:
-            assert sp.rho(r, phi) == pytest.approx(f(r, phi), abs=1e-13)
-            if sp.tau is not None:
-                assert abs(sp.tau(r, phi)) < 1e-13
+        rho, tau = split_circle(rho_check(q, f), r, phi)
+        assert np.max(np.abs(rho - f(R, P))) <= 1e-13
+        assert np.max(np.abs(tau)) <= 1e-13
 
 
 def test_split_of_full_form_combines_parts():
     E = random_callable_form(2, 1, RNG)
-    sp = split_circle(E)
-    rebuilt = rho_check(1, sp.rho) + tau_check(1, sp.tau)
-    assert form_max_diff(rebuilt, E, away_from_origin(2)) < 1e-12
+    r, phi = zip(*(_polar(x) for x in away_from_origin(2)))
+    _, P, x = _cartesian_grid(r, phi)
+    rho, tau = split_circle(E, r, phi)
+    # the polar frame rotated back onto dx1 and dx2
+    rebuilt = {(1,): rho * np.cos(P) - tau * np.sin(P), (2,): rho * np.sin(P) + tau * np.cos(P)}
+    for key, values in rebuilt.items():
+        assert np.max(np.abs(values - E.components[key](x))) < 1e-12
 
 
 def test_checks_are_pointwise_isometric():
@@ -130,14 +138,12 @@ def test_grid_sampling_matches_pointwise_loop():
     phi = np.linspace(0.05, 3.1, 64)
     constant = FieldForm.from_callable(2, 0, {(): ScalarField.constant(0.3 - 1.0j)})
     for E in (constant, *(random_callable_form(2, q, RNG) for q in (0, 1, 2))):
-        sp = split_circle(E)
-        for fn in (sp.rho, sp.tau):
-            loop = np.zeros((64, 64), dtype=complex)
-            if fn is not None:
-                for i, ri in enumerate(r):
-                    for j, pj in enumerate(phi):
-                        loop[i, j] = fn(ri, pj)
-            assert np.array_equal(_sample(fn, r, phi), loop)
+        batch = split_circle(E, r, phi)
+        loop = np.zeros((2, 64, 64), dtype=complex)
+        for i, ri in enumerate(r):
+            for j, pj in enumerate(phi):
+                loop[:, i, j] = np.ravel(split_circle(E, [ri], [pj]))
+        assert np.array_equal(np.array(batch), loop)
 
 
 @pytest.mark.parametrize("q", [0, 1, 2])
@@ -166,3 +172,28 @@ def test_nontrivial_relations_by_degree():
             if v > 1e-12:
                 seen[k] = True
     assert all(seen.values())
+
+
+def _counted_form(q, rng):
+    """A random q-form whose components count their evaluations; the partials
+    are the analytic ones of the uncounted fields."""
+    calls = dict.fromkeys(enumerate_ordered(q, 2), 0)
+    comps = {}
+    for key in calls:
+        f = random_scalar_field(2, rng)
+
+        def fn(x, f=f, key=key):
+            calls[key] += 1
+            return f.fn(x)
+
+        comps[key] = ScalarField(fn, f.partial)
+    return FieldForm.from_callable(2, q, comps), calls
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_each_component_is_evaluated_once(q):
+    E, calls = _counted_form(q, np.random.default_rng(14 + q))
+    split_circle(E, np.linspace(0.3, 1.0, 5), np.linspace(0.1, 3.0, 7))
+    assert calls == dict.fromkeys(calls, 1)
+    sphere_relation_residuals(E, mr=16, mphi=16)
+    assert calls == dict.fromkeys(calls, 2)
