@@ -71,20 +71,22 @@ def _doc(config: dict, results: dict, residuals: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return CSV_DIGITS.format(float(value))
+def _column(values) -> list:
+    """One CSV column as text: strings as they are, integers with str, floats
+    with CSV_DIGITS."""
+    values = np.asarray(values)
+    if values.dtype.kind == "U":
+        return values.tolist()
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    return list(map(CSV_DIGITS.format, values.tolist()))
 
 
-def _csv(header, rows) -> str:
+def _csv(header, columns) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    writer.writerows(zip(*map(_column, columns)))
     return buf.getvalue()
 
 
@@ -137,11 +139,8 @@ def _run_bessel_zeros(args, threads) -> int:
     table = (zeros_j if args.kind == "fn" else zeros_jprime)(args.n, args.count)
     worst = float(np.max(table.residuals))
     if args.format == "csv":
-        rows = [
-            (m, z, r)
-            for m, (z, r) in enumerate(zip(table.zeros, table.residuals), start=1)
-        ]
-        text = _csv(("m", "zero", "residual"), rows)
+        m = np.arange(1, len(table.zeros) + 1)
+        text = _csv(("m", "zero", "residual"), (m, table.zeros, table.residuals))
     else:
         text = _doc(
             {"count": args.count, "kind": args.kind, "n": args.n, "threads": threads},
@@ -165,8 +164,8 @@ def _run_eigen1d(args, threads) -> int:
     )
     drift = float(np.max(np.abs(solve.lambdas - closed)))
     if args.format == "csv":
-        rows = zip(ks, solve.lambdas, exact, abs_err)
-        text = _csv(("k", "lambda_fd", "lambda_exact", "abs_err"), rows)
+        text = _csv(("k", "lambda_fd", "lambda_exact", "abs_err"),
+                    (ks, solve.lambdas, exact, abs_err))
     else:
         text = _doc(
             {"grid": args.grid, "modes": args.modes, "threads": threads},
@@ -218,11 +217,8 @@ def _run_eigen2d(args, threads) -> int:
     if args.metadata:
         _emit(args.metadata, _doc(config, {"modes": rows}, {"rel_err_max": worst}))
     if args.format == "csv":
-        table = [
-            (r["rank"], r["lambda_num"], r["lambda_bessel"], r["rel_err"], route)
-            for r in rows
-        ]
-        text = _csv(("rank", "lambda_num", "lambda_bessel", "rel_err", "route"), table)
+        header = ("rank", "lambda_num", "lambda_bessel", "rel_err", "route")
+        text = _csv(header, [[row[k] for row in rows] for k in header])
     else:
         text = _doc(config, {"modes": rows}, {"rel_err_max": worst})
     _emit(args.output, text)
@@ -278,7 +274,7 @@ def _run_regularity(args, threads) -> int:
             "slope": report.slope,
             "verdict": report.verdict,
         },
-        {"slope_deviation": abs(report.slope - min(0.0, 2.0 * report.exponent + 2.0))},
+        {"slope_deviation": abs(report.slope - (2.0 * report.exponent + 2.0))},
     )
     _emit(args.output, text)
     return 0
@@ -455,13 +451,16 @@ def _run_expand(args, threads) -> int:
     residuals = {} if own is None else {"cross_coefficient_max": cross}
 
     if args.format == "csv":
-        table = []
-        for letter in sorted(coeffs.families):
-            rows = coeffs.families[letter]
-            for i, n in enumerate(orders):
-                for node, val in zip(r, rows[i]):
-                    table.append((letter, n, node, val.real, val.imag))
-        text = _csv(("family", "order", "r", "re", "im"), table)
+        letters = sorted(coeffs.families)
+        values = np.concatenate([coeffs.families[letter] for letter in letters]).ravel()
+        columns = (
+            np.repeat(letters, len(orders) * len(r)),
+            np.tile(np.repeat(orders, len(r)), len(letters)),
+            np.tile(r, len(letters) * len(orders)),
+            values.real,
+            values.imag,
+        )
+        text = _csv(("family", "order", "r", "re", "im"), columns)
     else:
         families = {
             letter: {

@@ -255,8 +255,8 @@ class FieldForm:
         self.q = int(q)
         keys = enumerate_ordered(q, N)
         comp = {key: components[key] for key in keys if key in components}
-        extra = set(map(tuple, components)) - set(map(tuple, keys))
-        if extra:
+        if len(comp) != len(components):  # some key lies outside the index set
+            extra = set(map(tuple, components)) - set(map(tuple, keys))
             raise ValueError(f"components outside degree-{q} index set: {sorted(extra)}")
         if len(comp) != len(keys):
             raise ValueError("missing components; use from_callable/from_grid to zero-fill")

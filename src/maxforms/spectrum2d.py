@@ -553,8 +553,9 @@ def _merge_orders(count: int, values_of) -> list:
 
 
 def radial_spectrum(M: int, count: int, bc: str = "dirichlet") -> np.ndarray:
-    """Lowest radial-solver eigenvalues merged across angular orders n."""
-    values_of = lambda n: _radial_kernel((n - 0.5) ** 2, M, count, bc).lambdas
+    """Lowest radial-solver eigenvalues merged across angular orders n, each
+    order giving at most its M."""
+    values_of = lambda n: _radial_kernel((n - 0.5) ** 2, M, min(count, M), bc).lambdas
     return np.array(_merge_orders(count, values_of))
 
 

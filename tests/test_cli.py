@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from maxforms import cli, exterior
+from maxforms import cli, exterior, spectrum2d
 
 
 def run(argv, capsys):
@@ -103,6 +103,20 @@ def test_eigen2d_serves_more_modes_and_large_grids(argv, modes, capsys):
     code, out = run(["eigen2d", *argv, "--strict"], capsys)
     assert code == 0
     assert len(rows_of(out)) == modes
+
+
+def test_eigen2d_radial_route_serves_more_modes_than_radial_cells(capsys):
+    # each angular order has up to M_r eigenvalues; the merge pools them all
+    code, out = run(
+        ["eigen2d", "--q", "1", "--modes", "17", "--grid", "16", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    got = [row["lambda_num"] for row in json.loads(out)["results"]["modes"]]
+    pooled = np.concatenate(
+        [spectrum2d.radial_eigensolve(n, 16, 16, "neumann").lambdas for n in range(1, 18)]
+    )
+    assert got == sorted(pooled)[:17]
 
 
 def test_bessel_zeros_serve_high_orders(capsys):
@@ -218,8 +232,8 @@ def test_regularity_reports_verdict(capsys):
     assert len(doc["results"]["eps"]) == len(doc["results"]["seminorms"])
 
 
-def test_regularity_verdict_is_exact_where_the_ladder_reads_shallow(capsys):
-    # at m=12 the fitted slope reads about -0.33, far from the asymptotic -1
+def test_regularity_slope_reads_minus_one_at_high_radial_rank(capsys):
+    # on dyadic shells the slope is 2 alpha + 2 = -1 at high radial rank too
     code, out = run(
         ["regularity", "--q", "0", "--n", "1", "--m", "12", "--field", "H",
          "--strict"],
@@ -229,6 +243,17 @@ def test_regularity_verdict_is_exact_where_the_ladder_reads_shallow(capsys):
     doc = json.loads(out)
     assert doc["results"]["verdict"] == "not-H1"
     assert doc["results"]["exponent"] == -1.5
+    assert doc["results"]["slope"] == pytest.approx(-1.0, abs=3e-3)
+    assert doc["residuals"]["slope_deviation"] <= 3e-3
+
+
+def test_regularity_slope_is_null_where_every_shell_underflows(capsys):
+    code, out = run(["regularity", "--q", "0", "--n", "140", "--m", "1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["verdict"] == "H1"
+    assert doc["results"]["slope"] is None
+    assert doc["residuals"]["slope_deviation"] is None
 
 
 def test_expand_eigenform_collapses_to_single_order(capsys):

@@ -409,6 +409,11 @@ def test_constructors_refuse_keys_outside_the_index_set():
             FieldForm.from_callable(2, 1, extra)
         with pytest.raises(ValueError, match="outside"):
             FieldForm.from_grid(2, 1, {k: np.ones((2, 2)) for k in extra}, (0.5, 0.5))
+    # the bare constructor names an outside key before a missing one
+    with pytest.raises(ValueError, match=r"outside degree-1 index set: \[\(3,\)\]"):
+        FieldForm(2, 1, {(1,): f, (3,): f})
+    with pytest.raises(ValueError, match="missing components"):
+        FieldForm(2, 1, {(1,): f})
 
 
 def test_from_grid_zero_fills_on_the_grid_of_its_components():

@@ -1,12 +1,10 @@
+import functools
 import math
 
 import numpy as np
-import pytest
 
 from maxforms.regularity import (
-    _annulus_rule,
     _partials,
-    _ring_energies,
     classify,
     classify_components,
     expected_verdict,
@@ -21,11 +19,26 @@ from maxforms.spectrum2d import (
 )
 
 
-def annulus_gradient_energy(components: dict, eps: float) -> float:
-    """Per-annulus oracle of the batched ladder: the squared partials summed
-    over components and axes, eps < r < 1, on that annulus's rule alone."""
-    r, w = _annulus_rule(eps)
-    return float(w @ _ring_energies(_partials(components), r))
+def shell_gradient_energy(components: dict, eps: float) -> float:
+    """Per-shell oracle of the batched ladder: the squared partials summed over
+    components and axes on eps/4 < r < eps, by Gauss-Legendre in r and in phi
+    (not the log-r and midpoint rules of the ladder)."""
+    x, w = np.polynomial.legendre.leggauss(40)
+    lo, hi = eps / 4.0, eps
+    r = 0.5 * (hi - lo) * (x + 1.0) + lo
+    phi = 0.5 * math.pi * (x + 1.0)
+    rows = sum(np.abs(p(r[:, None], phi[None, :])) ** 2 for p in _partials(components))
+    return float(0.5 * (hi - lo) * (w * r) @ rows @ (0.5 * math.pi * w))
+
+
+# q, role, n <= 8 and m, at low and high radial rank
+LABELS = [(q, role, n, m) for q in (0, 1) for role in ("E", "H")
+          for n in range(1, 9) for m in (1, 2, 3, 12)]
+
+
+@functools.cache
+def _report(q, role, n, m):
+    return classify(q, n, m, role)
 
 
 def _expected_exponent(q, n, role):
@@ -37,18 +50,28 @@ def _expected_exponent(q, n, role):
 
 def test_every_family_member_classifies_as_expected():
     # criterion 09's bands: slope -1 +- 0.2 when singular, >= -0.1 when H1
-    for q in (0, 1):
-        for role in ("E", "H"):
-            for n in range(1, 9):
-                for m in (1, 2, 3):
-                    rep = classify(q, n, m, role)
-                    label = (q, role, n, m)
-                    assert rep.verdict == expected_verdict(q, n, role), label
-                    assert rep.exponent == _expected_exponent(q, n, role), label
-                    if rep.verdict == "not-H1":
-                        assert abs(rep.slope + 1.0) <= 0.2, label
-                    else:
-                        assert rep.slope >= -0.1, label
+    for label in LABELS:
+        q, role, n, _ = label
+        rep = _report(*label)
+        assert rep.verdict == expected_verdict(q, n, role), label
+        assert rep.exponent == _expected_exponent(q, n, role), label
+        if rep.verdict == "not-H1":
+            assert abs(rep.slope + 1.0) <= 0.2, label
+        else:
+            assert rep.slope >= -0.1, label
+
+
+def test_shell_slope_reads_twice_the_exponent_plus_two():
+    # E(eps/4 < r < eps) ~ eps^(2 alpha + 2): -1 when singular, even at m = 12
+    for label in LABELS:
+        rep = _report(*label)
+        assert abs(rep.slope - (2.0 * rep.exponent + 2.0)) <= 3e-3, label
+
+
+def test_high_order_reads_its_exponent():
+    rep = classify(0, 40, 1, "E")
+    assert rep.exponent == 38.5
+    assert abs(rep.slope - 79.0) <= 1e-3
 
 
 def test_singular_members_have_unit_slope():
@@ -70,7 +93,7 @@ def test_saturated_energy_reads_its_exponent():
     rep = classify(1, 3, 1, "H")
     assert rep.exponent == 1.5
     assert rep.verdict == "H1"
-    assert abs(rep.slope) <= 2e-3
+    assert abs(rep.slope - 5.0) <= 3e-3
 
 
 def _polar(power, freq, order=None, omega=0.0):
@@ -104,27 +127,29 @@ def test_leading_exponent_of_hand_built_fields():
 
 
 def test_constant_field_reads_the_exact_flat_slope():
-    # no gradient: every ladder energy is 0, so there is no power law to fit
+    # no gradient: every shell energy is 0, so there is no power law to fit
     const = PolarScalar(
         [(RadialFactor(0.0), AngularPart([AngularTerm(2.0, 0.0, 0.0)]))]
     )
     rep = classify_components({(): const})
     assert not rep.seminorms.any()
     assert rep.exponent == math.inf
-    assert rep.slope == 0.0
+    assert math.isnan(rep.slope)
     assert rep.verdict == "H1"
 
 
 def test_energy_matches_closed_form_for_linear_field():
-    # f = r cos(phi) = x1 has gradient (1, 0), so the energy over the
-    # half annulus is pi (1 - eps^2) / 2 exactly
+    # f = r cos(phi) = x1 has gradient (1, 0), so the energy over the half
+    # shell eps/4 < r < eps is pi (eps^2 - eps^2 / 16) / 2 = (15/32) pi eps^2
     linear = PolarScalar(
         [(RadialFactor(1.0), AngularPart([AngularTerm(1.0, 1.0, 0.0)]))]
     )
+    rep = classify_components({(): linear})
+    expected = 15.0 / 32.0 * math.pi * rep.eps**2
+    assert np.max(np.abs(rep.seminorms - expected) / expected) <= 1e-12
     for eps in (0.2, 0.05):
-        val = annulus_gradient_energy({(): linear}, eps)
-        expected = math.pi * (1.0 - eps**2) / 2.0
-        assert abs(val - expected) <= 1e-12 * expected
+        val = shell_gradient_energy({(): linear}, eps)
+        assert abs(val - 15.0 / 32.0 * math.pi * eps**2) <= 1e-12 * eps**2
 
 
 def test_seminorms_scale_quadratically_and_verdict_is_invariant():
@@ -142,8 +167,8 @@ def test_batched_ladder_equals_per_level_energies():
     for q, n, m, role in [(0, 1, 1, "H"), (0, 3, 2, "E"), (1, 1, 4, "E"), (1, 2, 1, "H")]:
         comps = cartesian_components(analytic_eigenform(q, n, m, role))
         rep = classify_components(comps)
-        per_level = np.array([annulus_gradient_energy(comps, eps) for eps in rep.eps])
-        assert np.max(np.abs(rep.seminorms - per_level) / per_level) <= 1e-14
+        per_shell = np.array([shell_gradient_energy(comps, eps) for eps in rep.eps])
+        assert np.max(np.abs(rep.seminorms - per_shell) / per_shell) <= 1e-14
 
 
 def test_energy_grows_as_annulus_deepens():
@@ -151,11 +176,3 @@ def test_energy_grows_as_annulus_deepens():
     rep = classify_components(comps)
     assert np.all(np.diff(rep.seminorms) > 0)  # eps decreasing, energy rising
     assert np.all(np.diff(rep.eps) < 0)
-
-
-def test_validation():
-    comps = cartesian_components(analytic_eigenform(0, 1, 1, "E"))
-    with pytest.raises(ValueError):
-        annulus_gradient_energy(comps, 0.0)
-    with pytest.raises(ValueError):
-        annulus_gradient_energy(comps, 1.0)
