@@ -542,7 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--orders", type=_order_list, default=(1, 2, 3, 4),
                     metavar="N1,N2,...")
     sp.add_argument("--radial-cells", type=int, default=96)
-    sp.add_argument("--angular-cells", type=int, default=256)
+    sp.add_argument("--angular-cells", type=int, default=256,
+                    help="angular midpoints; for an eigenform a floor, raised to the "
+                         "smallest count exact for its orders")
     _add_io(sp, ("csv", "json"), "csv")
     sp.set_defaults(handler=_run_expand)
 

@@ -49,12 +49,22 @@ def _shell_rule():
 
 
 def _ring_energies(partials: list, r: np.ndarray) -> np.ndarray:
-    """Per radius, the angular integral of the summed squared partials."""
+    """Per radius, the angular integral of the summed squared partials.
+
+    Each distinct radial factor is evaluated once across the partials; every
+    partial then sums its pairs as PolarScalar.__call__ does on the
+    (r, phi) grid."""
     h_phi = HALF_ARC / _M_PHI
     phi = _angular_nodes(_M_PHI)
+    radial = {R: R(r) for R in dict.fromkeys(R for p in partials for R, _ in p.pairs)}
     rows = np.zeros(len(r))
     for p in partials:
-        rows += np.sum(np.abs(p(r[:, None], phi[None, :])) ** 2, axis=1)
+        k = len(p.pairs)
+        vals = np.einsum("k...,k...->...",
+                         np.array([radial[R] for R, _ in p.pairs]).reshape(k, len(r), 1),
+                         np.array([A(phi) for _, A in p.pairs]).reshape(k, 1, _M_PHI),
+                         dtype=complex)
+        rows += np.sum(np.abs(vals) ** 2, axis=1)
     return h_phi * rows
 
 

@@ -188,7 +188,10 @@ class PolarScalar:
 
         Series terms up to the last horizon (past it they stay below roundoff of
         their largest at r = 1) are collected by power and frequency, cos and sin
-        parts apart.  A part cancels within its first-order roundoff bound.
+        parts apart.  A part cancels within its first-order roundoff bound.  The
+        pairs' series advance in step over ascending powers, so the sweep stops
+        at the first power that survives; each group sums its terms in pair
+        order, then angular-term order.
         """
         top = -math.inf
         for R, _ in self.pairs:
@@ -198,18 +201,35 @@ class PolarScalar:
                     break
             top = max(top, horizon)
         most = sum(len(A.terms) for _, A in self.pairs)  # terms one group can hold
-        groups = {}
+        # per pair: its next series term, the series, and per angular term
+        # (coeff, freq, cos s, sin s): cos(f phi + s) = cos s cos(f phi) - sin s sin(f phi)
+        live = []
         for R, A in self.pairs:
-            for p, c, factors in itertools.takewhile(lambda s: s[0] <= top, R.series()):
-                for a in A.terms:
-                    w = c * a.coeff  # cos(f phi + s) = cos s cos(f phi) - sin s sin(f phi)
-                    g = groups.setdefault((p, a.freq), [0.0, 0.0, 0.0])
-                    g[0] += w * math.cos(a.shift)
-                    g[1] += w * math.sin(a.shift) if a.freq else 0.0
+            series = R.series()
+            live.append([next(series), series,
+                         [(a.coeff, a.freq, math.cos(a.shift),
+                           math.sin(a.shift) if a.freq else 0.0) for a in A.terms]])
+        while live:
+            p = min(term[0] for term, _, _ in live)
+            if p > top:
+                return math.inf
+            groups = {}
+            for pair in live:
+                (power, c, factors), series, angular = pair
+                if power != p:
+                    continue
+                for coeff, freq, cos_s, sin_s in angular:
+                    w = c * coeff
+                    g = groups.setdefault(freq, [0.0, 0.0, 0.0])
+                    g[0] += w * cos_s
+                    g[1] += w * sin_s
                     # each factor of a term and each partial sum rounds at most twice
                     g[2] += 2.0 * (factors + 2 + most) * _ROUNDOFF * abs(w)
-        return min((p for (p, _), (cos, sin, bound) in groups.items()
-                    if max(abs(cos), abs(sin)) > bound), default=math.inf)
+                pair[0] = next(series, None)
+            if any(max(abs(cos), abs(sin)) > bound for cos, sin, bound in groups.values()):
+                return p
+            live = [pair for pair in live if pair[0] is not None]
+        return math.inf
 
     def to_scalar_field(self) -> ScalarField:
         return ScalarField(
@@ -371,6 +391,14 @@ def _angular_nodes(M: int) -> np.ndarray:
     return (np.arange(1, M + 1) - 0.5) * (HALF_ARC / M)
 
 
+# stored families per form degree: (letter, polar part, metric factor r absorbed)
+_FAMILIES = {
+    0: (("c", "tau", False),),
+    1: (("a", "rho", False), ("d", "tau", True)),
+    2: (("b", "rho", True),),
+}
+
+
 def trace_families(degree: int, r, rho=None, tau=None) -> dict:
     """Circle traces of a form of the given degree, by stored family letter.
 
@@ -378,11 +406,9 @@ def trace_families(degree: int, r, rho=None, tau=None) -> dict:
     samples them) on an (r, phi) grid, r the radius column: c <- tau for a
     scalar; a <- rho and d <- r tau for a one-form; b <- r rho for a top form.
     """
-    if degree == 0:
-        return {"c": tau}
-    if degree == 1:
-        return {"a": rho, "d": r * tau}
-    return {"b": r * rho}
+    parts = {"rho": rho, "tau": tau}
+    return {letter: r * parts[part] if metric else parts[part]
+            for letter, part, metric in _FAMILIES[degree]}
 
 
 @dataclass
@@ -399,50 +425,72 @@ class CoefficientSet:
     families: dict  # letter -> array of shape (len(n_list), len(nodes))
 
 
+def _basis_rows(letter: str, n_list, phi: np.ndarray) -> np.ndarray:
+    """Projection weights, one row per order: the real scalar basis for the
+    'c' and 'a' families, the conjugate one-form basis for 'd' and 'b'."""
+    pairs = [analytic_pair(n) for n in n_list]
+    if letter in ("c", "a"):
+        rows = [pair.normalization * pair.e(phi) for pair in pairs]
+    else:
+        rows = [np.conj(pair.normalization * pair.h(phi)) for pair in pairs]
+    return np.array(rows).reshape(len(pairs), len(phi))
+
+
 def project_angular(values: dict, n_list, nodes: np.ndarray) -> CoefficientSet:
     """Project circle traces sampled on the offset angular grid.
 
     Each entry of values holds samples of shape (len(nodes), M_phi) taken on
     the midpoint angular grid; the metric factor r for the 'd' and 'b'
-    families must already be absorbed.  The midpoint rule is exact here: the
-    half-integer harmonics only ever meet in products whose difference
-    frequencies are integers, so the only quadrature error left is roundoff.
+    families must already be absorbed.  Against basis order k, the midpoint
+    rule integrates a trace of angular order n exactly when n + k - 1 < 2 M_phi:
+    the half-integer harmonics meet in products of integer frequencies n - k
+    and n + k - 1, and M_phi midpoints integrate cos(j phi) over (0, pi)
+    exactly unless j is a nonzero multiple of 2 M_phi.  A trace that is not
+    band-limited, such as a bilinear read of a grid form, keeps an aliasing
+    error that M_phi alone controls.
     """
     n_list = tuple(n_list)
     M_phi = next(iter(values.values())).shape[1]
     phi = _angular_nodes(M_phi)
     h = HALF_ARC / M_phi
 
-    bases = {}
-    for n in n_list:
-        pair = analytic_pair(n)
-        bases[n] = (
-            pair.normalization * pair.e(phi),  # scalar basis, real
-            pair.normalization * pair.h(phi),  # one-form basis, imaginary
-        )
-
     families = {}
     for letter, vals in values.items():
         if vals.shape != (len(nodes), M_phi):
             raise ValueError("coefficient samples have inconsistent shape")
-        rows = []
-        for n in n_list:
-            scalar_basis, oneform_basis = bases[n]
-            weight = scalar_basis if letter in ("c", "a") else np.conj(oneform_basis)
-            rows.append(h * np.sum(vals * weight[None, :], axis=1))
-        families[letter] = np.array(rows)
+        families[letter] = np.array([h * np.sum(vals * weight[None, :], axis=1)
+                                     for weight in _basis_rows(letter, n_list, phi)])
     return CoefficientSet(n_list=n_list, nodes=np.asarray(nodes), families=families)
 
 
 def extract_coefficients(
     mode: HalfDiskMode, n_list, M_r: int = 200, M_phi: int = 256
 ) -> CoefficientSet:
-    """Project each circle trace of an eigenform onto the half-circle basis."""
+    """Project each circle trace of an eigenform onto the half-circle basis.
+
+    Separably: a part sum_i R_i(r) A_i(phi) has the coefficients
+    sum_i R_i(r) <A_i, basis_k>, so each radial factor is evaluated once on
+    the M_r nodes (times r for the 'd' and 'b' families), each angular sum is
+    projected once by the midpoint rule on M_phi nodes, and no M_r x M_phi
+    grid is formed.  The angular sums have order n = mode.n, for which the
+    rule is exact against basis order k when n + k - 1 < 2 M_phi
+    (project_angular); M_phi is a floor, raised to the smallest count exact
+    for every requested order.
+    """
+    n_list = tuple(n_list)
+    if M_phi < 1:
+        raise ValueError(f"angular cells must be positive, got {M_phi}")
+    M_phi = max(M_phi, (mode.n + max(n_list, default=1) + 1) // 2)
     r = radial_nodes(M_r)
-    rg, pg = r[:, None], _angular_nodes(M_phi)[None, :]
-    values = trace_families(mode.degree, rg,
-                            **{k: ps(rg, pg) for k, ps in mode.parts.items()})
-    return project_angular(values, n_list, r)
+    phi = _angular_nodes(M_phi)
+    h = HALF_ARC / M_phi
+    families = {}
+    for letter, part, metric in _FAMILIES[mode.degree]:
+        pairs = mode.parts[part].pairs
+        radial = np.array([R(r) for R, _ in pairs])  # (pairs, M_r)
+        proj = h * (np.array([A(phi) for _, A in pairs]) @ _basis_rows(letter, n_list, phi).T)
+        families[letter] = proj.T @ (r * radial if metric else radial)
+    return CoefficientSet(n_list=n_list, nodes=r, families=families)
 
 
 def _centered(values: np.ndarray, h: float) -> np.ndarray:

@@ -269,6 +269,25 @@ def test_expand_eigenform_collapses_to_single_order(capsys):
     assert max(abs(float(r["re"])) + abs(float(r["im"])) for r in off) <= 1e-12
 
 
+def test_expand_raises_angular_cells_to_an_exact_count(capsys):
+    # 2 midpoints alias order 5 onto order 1; --angular-cells is a floor
+    def coefficients(cells):
+        code, out = run(["expand", "--q", "0", "--n", "5", "--m", "1", "--orders", "1,2,5",
+                         "--angular-cells", cells, "--radial-cells", "3", "--format", "json"],
+                        capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["angular_cells"] == int(cells)
+        return doc, {k: np.asarray(v["re"]) + 1j * np.asarray(v["im"])
+                     for k, v in doc["results"]["families"]["c"].items()}
+
+    doc, few = coefficients("2")
+    _, many = coefficients("256")
+    assert doc["residuals"]["cross_coefficient_max"] <= 1e-12
+    assert np.max(np.abs(few["1"])) <= 1e-12 and np.max(np.abs(few["2"])) <= 1e-12
+    assert np.max(np.abs(few["5"] - many["5"])) <= 1e-12
+
+
 def test_expand_grid_form_route(tmp_path, capsys):
     xs = np.linspace(-1.0, 1.0, 81)
     ys = np.linspace(0.0, 1.0, 41)

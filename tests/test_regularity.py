@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,34 @@ from maxforms.spectrum2d import (
     analytic_eigenform,
     cartesian_components,
 )
+
+
+ROUNDOFF = float(np.finfo(float).eps)
+
+
+def accumulated_exponent(ps: PolarScalar) -> float:
+    """Oracle of the ascending sweep in PolarScalar.leading_exponent: every
+    (power, frequency) group up to the last horizon is accumulated, and the
+    smallest surviving power is kept."""
+    top = -math.inf
+    for R, _ in ps.pairs:
+        peak = 0.0
+        for horizon, c, _ in R.series():
+            if abs(c) <= ROUNDOFF * (peak := max(peak, abs(c))):
+                break
+        top = max(top, horizon)
+    most = sum(len(A.terms) for _, A in ps.pairs)
+    groups = {}
+    for R, A in ps.pairs:
+        for p, c, factors in itertools.takewhile(lambda s: s[0] <= top, R.series()):
+            for a in A.terms:
+                w = c * a.coeff
+                g = groups.setdefault((p, a.freq), [0.0, 0.0, 0.0])
+                g[0] += w * math.cos(a.shift)
+                g[1] += w * math.sin(a.shift) if a.freq else 0.0
+                g[2] += 2.0 * (factors + 2 + most) * ROUNDOFF * abs(w)
+    return min((p for (p, _), (cos, sin, bound) in groups.items()
+                if max(abs(cos), abs(sin)) > bound), default=math.inf)
 
 
 def shell_gradient_energy(components: dict, eps: float) -> float:
@@ -102,6 +131,14 @@ def _polar(power, freq, order=None, omega=0.0):
     )
 
 
+def _recurrence_zero(n, omega):
+    """J_(nu+1) - (2 nu / (w r)) J_nu + J_(nu-1), identically zero."""
+    nu = n - 0.5
+    return (_polar(0.0, 0.5, n + 1, omega)
+            + _polar(-1.0, 0.5, n, omega).scaled(-2.0 * nu / omega)
+            + _polar(0.0, 0.5, n - 1, omega))
+
+
 def test_leading_exponent_of_hand_built_fields():
     half = _polar(0.5, 0.5)  # r^(1/2) cos(phi/2)
     assert half.leading_exponent() == 0.5
@@ -116,14 +153,8 @@ def test_leading_exponent_of_hand_built_fields():
     # J_(nu+1) - (2 nu / (w r)) J_nu + J_(nu-1) = 0 cancels at every power
     for omega in (0.3, 3.7, 40.0):
         for n in (2, 5, 12):
-            nu = n - 0.5
-            zero = (
-                _polar(0.0, 0.5, n + 1, omega)
-                + _polar(-1.0, 0.5, n, omega).scaled(-2.0 * nu / omega)
-                + _polar(0.0, 0.5, n - 1, omega)
-            )
-            assert zero.leading_exponent() == math.inf, (omega, n)
-            assert _polar(0.0, 0.5, n, omega).leading_exponent() == nu
+            assert _recurrence_zero(n, omega).leading_exponent() == math.inf, (omega, n)
+            assert _polar(0.0, 0.5, n, omega).leading_exponent() == n - 0.5
 
 
 def test_constant_field_reads_the_exact_flat_slope():
@@ -176,3 +207,30 @@ def test_energy_grows_as_annulus_deepens():
     rep = classify_components(comps)
     assert np.all(np.diff(rep.seminorms) > 0)  # eps decreasing, energy rising
     assert np.all(np.diff(rep.eps) < 0)
+
+
+def _sweep_labels():
+    yield from ((q, n, m, role) for q in (0, 1) for role in ("E", "H")
+                for n in range(1, 13) for m in range(1, 6))
+    yield from ((0, n, 1, "E") for n in (40, 70, 140))
+
+
+def test_sweep_equals_full_accumulation_on_eigenforms():
+    for q, n, m, role in _sweep_labels():
+        comps = cartesian_components(analytic_eigenform(q, n, m, role))
+        for ps in [*comps.values(), *_partials(comps)]:
+            assert ps.leading_exponent() == accumulated_exponent(ps), (q, n, m, role)
+
+
+def test_sweep_equals_full_accumulation_on_hand_built_fields():
+    x1 = _polar(1.0, 1.0)
+    const = PolarScalar([(RadialFactor(0.0), AngularPart([AngularTerm(2.0, 0.0, 0.0)]))])
+    fields = [_polar(0.5, 0.5), x1, const, PolarScalar([]),
+              *_partials({(): _polar(0.5, 0.5)}), *_partials({(): x1}), *_partials({(): const})]
+    for omega in (0.3, 3.7, 40.0):
+        for n in (2, 5, 12):
+            fields += [_recurrence_zero(n, omega), _polar(0.0, 0.5, n, omega)]
+    for ps in fields:
+        assert ps.leading_exponent() == accumulated_exponent(ps)
+    assert PolarScalar([]).leading_exponent() == math.inf
+    assert const.leading_exponent() == 0.0

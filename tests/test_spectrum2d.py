@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from maxforms.spectrum2d import (
     AngularTerm,
     PolarScalar,
     RadialFactor,
+    _angular_nodes,
     analytic_eigenform,
     base_frequency,
     cartesian_components,
@@ -19,11 +21,14 @@ from maxforms.spectrum2d import (
     extract_coefficients,
     gram_matrix_2d,
     maxwell_residual_2d,
+    project_angular,
     radial_eigensolve,
+    radial_nodes,
     radial_spectrum,
     reference_eigenvalues,
     reference_modes,
     to_field_form,
+    trace_families,
     zaremba2d_eigensolve,
 )
 
@@ -212,6 +217,57 @@ def test_expansion_energy_matches_unit_norm():
             w = r if letter in ("c", "a") else 1.0 / r
             total += float(np.sum(np.abs(arr[0]) ** 2 * w) * h)
         assert abs(total - 1.0) <= 1e-6
+
+
+def grid_extract_coefficients(mode, n_list, M_r, M_phi):
+    """Oracle of the separable extraction: every trace sampled on the whole
+    M_r x M_phi grid, then projected by project_angular."""
+    r = radial_nodes(M_r)
+    rg, pg = r[:, None], _angular_nodes(M_phi)[None, :]
+    values = trace_families(mode.degree, rg,
+                            **{k: ps(rg, pg) for k, ps in mode.parts.items()})
+    return project_angular(values, n_list, r)
+
+
+@pytest.mark.parametrize("role", ["E", "H"])
+@pytest.mark.parametrize("q", [0, 1])
+def test_separable_extraction_matches_grid_oracle(q, role):
+    orders = range(1, 9)
+    for n in range(1, 9):
+        for m in (1, 2, 3):
+            mode = analytic_eigenform(q, n, m, role)
+            for M_r in (96, 400):
+                got = extract_coefficients(mode, orders, M_r=M_r, M_phi=256)
+                want = grid_extract_coefficients(mode, orders, M_r, 256)
+                assert got.n_list == want.n_list and np.array_equal(got.nodes, want.nodes)
+                assert got.families.keys() == want.families.keys()
+                for letter, rows in want.families.items():
+                    assert got.families[letter].shape == rows.shape
+                    assert np.max(np.abs(got.families[letter] - rows)) <= 1e-13, (n, m, M_r)
+
+
+def test_extraction_forms_no_radial_by_angular_grid():
+    # the grid route would need a 200000 x 200000 complex temporary (640 GB)
+    mode = analytic_eigenform(0, 3, 1, "H")
+    start = time.perf_counter()
+    cs = extract_coefficients(mode, [3], M_r=200_000, M_phi=200_000)
+    assert time.perf_counter() - start <= 1.0
+    assert {k: v.shape for k, v in cs.families.items()} == {"a": (1, 200_000), "d": (1, 200_000)}
+    coarse = extract_coefficients(mode, [3], M_r=64, M_phi=256)
+    # 3125 fine cells make one coarse cell, so fine node 3125 i + 1562 is coarse node i
+    for letter, rows in coarse.families.items():
+        assert np.max(np.abs(cs.families[letter][:, 1562::3125] - rows)) <= 1e-13
+
+
+def test_angular_cells_are_raised_to_an_exact_count():
+    # order 5 against order 1 aliases on 2 midpoints: n + k - 1 = 5 >= 2 * 2
+    mode = analytic_eigenform(0, 5, 1, "E")
+    few = extract_coefficients(mode, [1, 2, 5], M_r=3, M_phi=2)
+    many = extract_coefficients(mode, [1, 2, 5], M_r=3, M_phi=256)
+    assert np.max(np.abs(few.families["c"][:2])) <= 1e-12
+    assert np.max(np.abs(few.families["c"][2] - many.families["c"][2])) <= 1e-12
+    with pytest.raises(ValueError):
+        extract_coefficients(mode, [1], M_phi=0)
 
 
 def test_radial_solver_value_pinned_half_order():

@@ -25,7 +25,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ARCS = "0.0:1.5,2.0:3.5,4.0:5.5"
-# every subcommand at its default and at one large config, then the round-trips
+# every subcommand at its default and at one large config, edge cases of the
+# regularity and expand paths, then the round-trips
 REQUESTS = {
     "identities": [["identities"]],
     "identities-large": [["identities", "--N", "4", "--q", "2", "--cells", "24"]],
@@ -44,9 +45,14 @@ REQUESTS = {
     "dn-fields-large": [["dn-fields", "--arcs", ARCS, "--h", "0.025"]],
     "regularity": [["regularity", "--q", "0", "--n", "1", "--m", "1"]],
     "regularity-large": [["regularity", "--q", "1", "--n", "8", "--m", "12", "--field", "H"]],
+    # the longest exponent sweep; no shell is representable, so the slope is null
+    "regularity-n140": [["regularity", "--q", "0", "--n", "140", "--m", "1"]],
     "expand": [["expand", "--q", "0", "--n", "1", "--m", "1"]],
     "expand-large": [["expand", "--q", "1", "--n", "2", "--m", "1", "--radial-cells", "400",
                       "--orders", "1,2,3,4,5,6,7,8"]],
+    # orders past the requested angular cells: the node count is raised to an exact one
+    "expand-aliasing": [["expand", "--q", "0", "--n", "5", "--m", "1", "--orders", "1,2,5",
+                         "--angular-cells", "2", "--radial-cells", "3", "--format", "json"]],
     "dump-form-roundtrip": [
         ["identities", "--N", "2", "--q", "1", "--cells", "32", "--seed", "7",
          "--dump-form", "{dir}/a.json"],
