@@ -1,7 +1,9 @@
 """Batch front end: every solver and check as a subcommand.
 
 Each handler imports the modules it runs, so a request loads only those:
-scipy, for one, is loaded by eigen1d, eigen2d and dn-fields alone.
+scipy, for one, is loaded by eigen1d, eigen2d and dn-fields alone.  A handler
+computes and returns a `Report`; `main` alone applies the output policy:
+--format, --output, --strict and the MAXFORMS_THREADS echo.
 
 Output is machine readable and deterministic: CSV files carry a header row
 and 12 significant digits, JSON documents have exactly the top-level keys
@@ -18,12 +20,30 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .multiindex import concat_sign, enumerate_ordered, sign_constants
 
 CSV_DIGITS = "{:.12g}"
+
+
+@dataclass
+class Report:
+    """What a subcommand computed, before it is rendered.
+
+    config, results and residuals make the JSON document; table is the CSV
+    form of the results, (header, columns), for the subcommands that offer
+    CSV; failed says a residual is above its gate, which --strict turns into
+    exit code 1.
+    """
+
+    config: dict
+    results: dict
+    residuals: dict
+    failed: bool = False
+    table: tuple | None = None
 
 
 def _threads():
@@ -62,11 +82,11 @@ def _plain(obj):
     return obj
 
 
-def _doc(config: dict, results: dict, residuals: dict) -> str:
+def _json(report: Report) -> str:
     payload = {
-        "config": _plain(config),
-        "results": _plain(results),
-        "residuals": _plain(residuals),
+        "config": _plain({**report.config, "threads": _threads()}),
+        "results": _plain(report.results),
+        "residuals": _plain(report.residuals),
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -133,25 +153,22 @@ def _order_list(text: str):
 # subcommands
 
 
-def _run_bessel_zeros(args, threads) -> int:
+def _run_bessel_zeros(args) -> Report:
     from .bessel import zeros_j, zeros_jprime
 
     table = (zeros_j if args.kind == "fn" else zeros_jprime)(args.n, args.count)
     worst = float(np.max(table.residuals))
-    if args.format == "csv":
-        m = np.arange(1, len(table.zeros) + 1)
-        text = _csv(("m", "zero", "residual"), (m, table.zeros, table.residuals))
-    else:
-        text = _doc(
-            {"count": args.count, "kind": args.kind, "n": args.n, "threads": threads},
-            {"m": list(range(1, args.count + 1)), "zero": table.zeros},
-            {"max_abs_value_at_zero": worst},
-        )
-    _emit(args.output, text)
-    return 1 if args.strict and worst > 1e-10 else 0
+    m = np.arange(1, len(table.zeros) + 1)
+    return Report(
+        {"count": args.count, "kind": args.kind, "n": args.n},
+        {"m": list(range(1, args.count + 1)), "zero": table.zeros},
+        {"max_abs_value_at_zero": worst},
+        failed=worst > 1e-10,
+        table=(("m", "zero", "residual"), (m, table.zeros, table.residuals)),
+    )
 
 
-def _run_eigen1d(args, threads) -> int:
+def _run_eigen1d(args) -> Report:
     from . import spectrum1d
 
     solve = spectrum1d.fd_eigensolve(args.grid, args.modes)
@@ -163,21 +180,17 @@ def _run_eigen1d(args, threads) -> int:
         [spectrum1d.fd_eigenvalue_closed_form(args.grid, int(k)) for k in ks]
     )
     drift = float(np.max(np.abs(solve.lambdas - closed)))
-    if args.format == "csv":
-        text = _csv(("k", "lambda_fd", "lambda_exact", "abs_err"),
-                    (ks, solve.lambdas, exact, abs_err))
-    else:
-        text = _doc(
-            {"grid": args.grid, "modes": args.modes, "threads": threads},
-            {"lambda_exact": exact, "lambda_fd": solve.lambdas},
-            {"abs_err_max": float(np.max(abs_err)), "solver_drift": drift},
-        )
-    _emit(args.output, text)
-    gate = 1e-9 * max(1.0, float(closed[-1]))
-    return 1 if args.strict and drift > gate else 0
+    return Report(
+        {"grid": args.grid, "modes": args.modes},
+        {"lambda_exact": exact, "lambda_fd": solve.lambdas},
+        {"abs_err_max": float(np.max(abs_err)), "solver_drift": drift},
+        failed=drift > 1e-9 * max(1.0, float(closed[-1])),
+        table=(("k", "lambda_fd", "lambda_exact", "abs_err"),
+               (ks, solve.lambdas, exact, abs_err)),
+    )
 
 
-def _run_eigen2d(args, threads) -> int:
+def _run_eigen2d(args) -> Report:
     from . import spectrum2d
 
     M_r, M_phi = args.grid
@@ -208,24 +221,20 @@ def _run_eigen2d(args, threads) -> int:
             zip(lambdas, reference, rel_err), start=1
         )
     ]
-    config = {
-        "grid": list(args.grid),
-        "modes": args.modes,
-        "q": args.q,
-        "threads": threads,
-    }
+    header = ("rank", "lambda_num", "lambda_bessel", "rel_err", "route")
+    report = Report(
+        {"grid": list(args.grid), "modes": args.modes, "q": args.q},
+        {"modes": rows},
+        {"rel_err_max": worst},
+        failed=worst > 0.01,
+        table=(header, [[row[k] for row in rows] for k in header]),
+    )
     if args.metadata:
-        _emit(args.metadata, _doc(config, {"modes": rows}, {"rel_err_max": worst}))
-    if args.format == "csv":
-        header = ("rank", "lambda_num", "lambda_bessel", "rel_err", "route")
-        text = _csv(header, [[row[k] for row in rows] for k in header])
-    else:
-        text = _doc(config, {"modes": rows}, {"rel_err_max": worst})
-    _emit(args.output, text)
-    return 1 if args.strict and worst > 0.01 else 0
+        _emit(args.metadata, _json(report))
+    return report
 
 
-def _run_dn_fields(args, threads) -> int:
+def _run_dn_fields(args) -> Report:
     from . import dnfields
 
     partition = dnfields.arcs_from_string(args.arcs)
@@ -234,12 +243,8 @@ def _run_dn_fields(args, threads) -> int:
     ones = np.ones(partition.count)
     scale = max(float(report.singular_values[0]), 1.0)
     kernel = float(np.max(np.abs(basis.gram @ ones))) / scale
-    text = _doc(
-        {
-            "arcs": [[a, b] for a, b in partition.arcs],
-            "h": args.h,
-            "threads": threads,
-        },
+    return Report(
+        {"arcs": [[a, b] for a, b in partition.arcs], "h": args.h},
         {
             "K": partition.count,
             "gap": report.gap,
@@ -247,26 +252,19 @@ def _run_dn_fields(args, threads) -> int:
             "rank": report.rank,
         },
         {"constant_kernel": kernel, "solve_max": float(np.max(basis.residuals))},
+        failed=report.rank != partition.count - 1 or (
+            partition.count > 1 and report.gap < 1e6
+        ),
     )
-    _emit(args.output, text)
-    bad = report.rank != partition.count - 1 or (
-        partition.count > 1 and report.gap < 1e6
-    )
-    return 1 if args.strict and bad else 0
 
 
-def _run_regularity(args, threads) -> int:
+def _run_regularity(args) -> Report:
     from . import regularity
 
     report = regularity.classify(args.q, args.n, args.m, role=args.field)
-    text = _doc(
-        {
-            "field": args.field,
-            "m": args.m,
-            "n": args.n,
-            "q": args.q,
-            "threads": threads,
-        },
+    # no gate: the verdict is exact, and the slope deviation is only reported
+    return Report(
+        {"field": args.field, "m": args.m, "n": args.n, "q": args.q},
         {
             "eps": report.eps,
             "exponent": report.exponent,
@@ -276,8 +274,6 @@ def _run_regularity(args, threads) -> int:
         },
         {"slope_deviation": abs(report.slope - (2.0 * report.exponent + 2.0))},
     )
-    _emit(args.output, text)
-    return 0
 
 
 def _sign_suite_max(n_cap: int) -> int:
@@ -330,7 +326,7 @@ def _random_grid_form(q: int, grid, seed: int):
     return FieldForm.from_grid(len(grid.shape), q, comps, grid.spacing, grid.origin)
 
 
-def _run_identities(args, threads) -> int:
+def _run_identities(args) -> Report:
     from . import exterior
 
     if args.seed < 0:
@@ -369,15 +365,12 @@ def _run_identities(args, threads) -> int:
         residuals["wedge_anticommute_max"] = _form_max(
             exterior.wedge(a, b) - flip * exterior.wedge(b, a)
         )
-    text = _doc(
-        {"N": N, "q": q, "seed": None if args.form else args.seed,
-         "source": source, "threads": threads},
+    return Report(
+        {"N": N, "q": q, "seed": None if args.form else args.seed, "source": source},
         {"component_count": len(a.components), "grid_shape": list(some.grid.shape)},
         residuals,
+        failed=max(residuals.values()) > 1e-8,
     )
-    _emit(args.output, text)
-    worst = max(v for v in residuals.values())
-    return 1 if args.strict and worst > 1e-8 else 0
 
 
 def _bilinear(component, pts: np.ndarray) -> np.ndarray:
@@ -408,7 +401,7 @@ def _grid_trace_values(form, r: np.ndarray, M_phi: int) -> dict:
     return trace_families(form.q, r[:, None], rho=rho, tau=tau)
 
 
-def _run_expand(args, threads) -> int:
+def _run_expand(args) -> Report:
     from . import exterior, spectrum2d
 
     orders = args.orders
@@ -417,7 +410,6 @@ def _run_expand(args, threads) -> int:
         "angular_cells": args.angular_cells,
         "orders": list(orders),
         "radial_cells": args.radial_cells,
-        "threads": threads,
     }
     own = None
     if args.form:
@@ -450,28 +442,29 @@ def _run_expand(args, threads) -> int:
                     cross = max(cross, float(np.max(np.abs(rows[i]))))
     residuals = {} if own is None else {"cross_coefficient_max": cross}
 
-    if args.format == "csv":
-        letters = sorted(coeffs.families)
-        values = np.concatenate([coeffs.families[letter] for letter in letters]).ravel()
-        columns = (
-            np.repeat(letters, len(orders) * len(r)),
-            np.tile(np.repeat(orders, len(r)), len(letters)),
-            np.tile(r, len(letters) * len(orders)),
-            values.real,
-            values.imag,
-        )
-        text = _csv(("family", "order", "r", "re", "im"), columns)
-    else:
-        families = {
-            letter: {
-                str(n): {"im": rows[i].imag, "re": rows[i].real}
-                for i, n in enumerate(orders)
-            }
-            for letter, rows in coeffs.families.items()
+    letters = sorted(coeffs.families)
+    values = np.concatenate([coeffs.families[letter] for letter in letters]).ravel()
+    columns = (
+        np.repeat(letters, len(orders) * len(r)),
+        np.tile(np.repeat(orders, len(r)), len(letters)),
+        np.tile(r, len(letters) * len(orders)),
+        values.real,
+        values.imag,
+    )
+    families = {
+        letter: {
+            str(n): {"im": rows[i].imag, "re": rows[i].real}
+            for i, n in enumerate(orders)
         }
-        text = _doc(config, {"families": families, "nodes": r}, residuals)
-    _emit(args.output, text)
-    return 1 if args.strict and own is not None and cross > 1e-8 else 0
+        for letter, rows in coeffs.families.items()
+    }
+    return Report(
+        config,
+        {"angular_nodes": coeffs.M_phi, "families": families, "nodes": r},
+        residuals,
+        failed=cross > 1e-8,
+        table=(("family", "order", "r", "re", "im"), columns),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +547,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        threads = _threads()
-        return args.handler(args, threads)
+        _threads()  # an invalid value fails before any work
+        report = args.handler(args)
+        text = _csv(*report.table) if args.format == "csv" else _json(report)
+        _emit(args.output, text)
     except (ValueError, OSError) as exc:
         print(f"maxforms: error: {exc}", file=sys.stderr)
         return 2
+    return 1 if args.strict and report.failed else 0
 
 
 if __name__ == "__main__":

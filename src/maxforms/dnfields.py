@@ -97,9 +97,6 @@ class ArcPartition:
             out[(theta - a) % TWO_PI <= (b - a) + _ANGLE_TOL] = k
         return out
 
-    def rotated(self, alpha: float) -> "ArcPartition":
-        return ArcPartition(tuple((a + alpha, b + alpha) for a, b in self.arcs))
-
 
 def arcs_from_string(text: str) -> ArcPartition:
     """Parse 'a1:b1,a2:b2,...' (radians) into a partition."""
@@ -124,10 +121,6 @@ class DiskMesh:
     boundary_nodes: np.ndarray
     boundary_angles: np.ndarray
     spacing: float
-
-    @property
-    def interior_count(self) -> int:
-        return len(self.points) - len(self.boundary_nodes)
 
 
 def _ring_angles(count: int, anchor: float) -> np.ndarray:

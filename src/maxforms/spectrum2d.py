@@ -194,18 +194,18 @@ class PolarScalar:
         order, then angular-term order.
         """
         top = -math.inf
-        for R, _ in self.pairs:
-            peak = 0.0  # the terms rise to a peak, then fall for good
-            for horizon, c, _ in R.series():
-                if abs(c) <= _ROUNDOFF * (peak := max(peak, abs(c))):
-                    break
-            top = max(top, horizon)
         most = sum(len(A.terms) for _, A in self.pairs)  # terms one group can hold
         # per pair: its next series term, the series, and per angular term
         # (coeff, freq, cos s, sin s): cos(f phi + s) = cos s cos(f phi) - sin s sin(f phi)
         live = []
         for R, A in self.pairs:
-            series = R.series()
+            series, head, peak = R.series(), [], 0.0
+            for term in series:  # the terms rise to a peak, then fall for good
+                head.append(term)
+                if abs(term[1]) <= _ROUNDOFF * (peak := max(peak, abs(term[1]))):
+                    break
+            top = max(top, head[-1][0])
+            series = itertools.chain(head, series)  # the sweep reuses the terms drawn
             live.append([next(series), series,
                          [(a.coeff, a.freq, math.cos(a.shift),
                            math.sin(a.shift) if a.freq else 0.0) for a in A.terms]])
@@ -423,6 +423,7 @@ class CoefficientSet:
     n_list: tuple
     nodes: np.ndarray
     families: dict  # letter -> array of shape (len(n_list), len(nodes))
+    M_phi: int  # angular midpoints the projection integrated on
 
 
 def _basis_rows(letter: str, n_list, phi: np.ndarray) -> np.ndarray:
@@ -460,7 +461,8 @@ def project_angular(values: dict, n_list, nodes: np.ndarray) -> CoefficientSet:
             raise ValueError("coefficient samples have inconsistent shape")
         families[letter] = np.array([h * np.sum(vals * weight[None, :], axis=1)
                                      for weight in _basis_rows(letter, n_list, phi)])
-    return CoefficientSet(n_list=n_list, nodes=np.asarray(nodes), families=families)
+    return CoefficientSet(n_list=n_list, nodes=np.asarray(nodes), families=families,
+                          M_phi=M_phi)
 
 
 def extract_coefficients(
@@ -490,7 +492,7 @@ def extract_coefficients(
         radial = np.array([R(r) for R, _ in pairs])  # (pairs, M_r)
         proj = h * (np.array([A(phi) for _, A in pairs]) @ _basis_rows(letter, n_list, phi).T)
         families[letter] = proj.T @ (r * radial if metric else radial)
-    return CoefficientSet(n_list=n_list, nodes=r, families=families)
+    return CoefficientSet(n_list=n_list, nodes=r, families=families, M_phi=M_phi)
 
 
 def _centered(values: np.ndarray, h: float) -> np.ndarray:

@@ -270,19 +270,21 @@ def test_expand_eigenform_collapses_to_single_order(capsys):
 
 
 def test_expand_raises_angular_cells_to_an_exact_count(capsys):
-    # 2 midpoints alias order 5 onto order 1; --angular-cells is a floor
-    def coefficients(cells):
+    # 2 midpoints alias order 5 onto order 1; --angular-cells is a floor,
+    # raised to (5 + 5 + 1) // 2 = 5, and the artifact names the count it used
+    def coefficients(cells, used):
         code, out = run(["expand", "--q", "0", "--n", "5", "--m", "1", "--orders", "1,2,5",
                          "--angular-cells", cells, "--radial-cells", "3", "--format", "json"],
                         capsys)
         assert code == 0
         doc = json.loads(out)
         assert doc["config"]["angular_cells"] == int(cells)
+        assert doc["results"]["angular_nodes"] == used
         return doc, {k: np.asarray(v["re"]) + 1j * np.asarray(v["im"])
                      for k, v in doc["results"]["families"]["c"].items()}
 
-    doc, few = coefficients("2")
-    _, many = coefficients("256")
+    doc, few = coefficients("2", 5)
+    _, many = coefficients("256", 256)
     assert doc["residuals"]["cross_coefficient_max"] <= 1e-12
     assert np.max(np.abs(few["1"])) <= 1e-12 and np.max(np.abs(few["2"])) <= 1e-12
     assert np.max(np.abs(few["5"] - many["5"])) <= 1e-12
@@ -306,6 +308,7 @@ def test_expand_grid_form_route(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["config"]["source"] == "file"
+    assert doc["results"]["angular_nodes"] == 64
     c1 = np.asarray(doc["results"]["families"]["c"]["1"]["re"])
     nodes = np.asarray(doc["results"]["nodes"])
     # trace of x1 against sqrt(2/pi) cos(phi/2): coefficient (2/3) sqrt(2 pi) r... no,
@@ -454,15 +457,39 @@ def test_malformed_form_file_exits_2_with_a_message(name, command, tmp_path, cap
     assert "Traceback" not in err
 
 
-def test_output_goes_to_file_not_stdout(tmp_path, capsys):
-    target = tmp_path / "table.csv"
-    code, out = run(
-        ["eigen1d", "--modes", "2", "--grid", "32", "--output", str(target)],
-        capsys,
-    )
+# one small request per subcommand, in its default format
+_REQUESTS = {
+    "identities": ["identities", "--N", "2"],
+    "bessel-zeros": ["bessel-zeros", "--n", "1", "--count", "2"],
+    "eigen1d": ["eigen1d", "--modes", "2", "--grid", "32"],
+    "eigen2d": ["eigen2d", "--q", "1", "--modes", "2", "--grid", "32,16"],
+    "dn-fields": ["dn-fields", "--arcs", "0.5:2.5", "--h", "0.2"],
+    "regularity": ["regularity", "--q", "0", "--n", "1", "--m", "1"],
+    "expand": ["expand", "--q", "0", "--n", "1", "--m", "1", "--orders", "1",
+               "--radial-cells", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUESTS))
+def test_output_goes_to_file_not_stdout(command, tmp_path, capsys):
+    code, expected = run(_REQUESTS[command], capsys)
+    assert code == 0 and expected
+    target = tmp_path / "artifact"
+    code, out = run([*_REQUESTS[command], "--output", str(target)], capsys)
     assert code == 0
     assert out == ""
-    assert target.read_text().startswith("k,lambda_fd,lambda_exact,abs_err")
+    assert target.read_text() == expected
+
+
+@pytest.mark.parametrize("command", sorted(_REQUESTS))
+def test_output_into_a_missing_directory_exits_2(command, tmp_path, capsys):
+    target = tmp_path / "missing" / "artifact"
+    code = cli.main([*_REQUESTS[command], "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("maxforms: error:")
+    assert "Traceback" not in captured.err
 
 
 def test_repeat_runs_are_byte_identical(capsys):
@@ -474,15 +501,17 @@ def test_repeat_runs_are_byte_identical(capsys):
     assert "time" not in json.loads(first)["config"]
 
 
-def test_threads_env_is_advisory_and_echoed(monkeypatch, capsys):
+@pytest.mark.parametrize("command", sorted(_REQUESTS))
+def test_threads_env_is_advisory_and_echoed(command, monkeypatch, capsys):
+    argv = [*_REQUESTS[command], "--format", "json"]
     monkeypatch.setenv("MAXFORMS_THREADS", "2")
-    code, out = run(["identities", "--N", "2"], capsys)
+    code, out = run(argv, capsys)
     assert code == 0
     assert json.loads(out)["config"]["threads"] == 2
 
     monkeypatch.setenv("MAXFORMS_THREADS", "zero")
-    code, _ = run(["identities", "--N", "2"], capsys)
-    assert code == 2
+    code, out = run(argv, capsys)
+    assert code == 2 and out == ""
 
 
 def test_csv_values_carry_twelve_significant_digits(capsys):

@@ -1,8 +1,9 @@
 """Start-up cost of maxforms requests, this tree against another checkout.
 
 Each request is one fresh process, as the command line serves it: `import
-maxforms` alone, and every subcommand at its default configuration (required
-options filled as in the README).  The two trees alternate within each repeat,
+maxforms` alone, and every request of `tools/artifact_diff.py` that is a
+single command, with `{dir}` standing for a scratch directory and the artifact
+sent to the null device.  The two trees alternate within each repeat,
 and which one goes first alternates between repeats, so host drift falls on
 both alike.  BLAS pools are pinned to one thread.  Run from the repository root:
 
@@ -21,24 +22,21 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import scipy
+from artifact_diff import REQUESTS as ARTIFACT_REQUESTS
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 7
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 REQUESTS = {
     "import": None,
-    "bessel-zeros": ["bessel-zeros", "--n", "3"],
-    "eigen1d": ["eigen1d"],
-    "eigen2d": ["eigen2d"],
-    "dn-fields": ["dn-fields", "--arcs", "0.2:1.1,1.9:2.8,4.0:5.2"],
-    "regularity": ["regularity", "--q", "0", "--n", "1", "--m", "1"],
-    "identities": ["identities"],
-    "expand": ["expand", "--q", "1", "--n", "2", "--m", "1"],
+    **{name: commands[0] for name, commands in ARTIFACT_REQUESTS.items()
+       if len(commands) == 1},
 }
 
 
@@ -67,9 +65,10 @@ def timed(cmd, tree: Path) -> float:
     return time.perf_counter() - t0
 
 
-def request_cmd(argv) -> list:
+def request_cmd(argv, scratch: str) -> list:
     if argv is None:
         return [sys.executable, "-c", "import maxforms"]
+    argv = [a.replace("{dir}", scratch) for a in argv]
     return [sys.executable, "-m", "maxforms.cli", *argv, "--output", os.devnull]
 
 
@@ -80,11 +79,12 @@ def main() -> int:
     trees = {"base": args.base.resolve(), "this": ROOT}
 
     runs = {name: {"base": [], "this": []} for name in REQUESTS}
-    for rep in range(REPEATS):
-        order = ("base", "this") if rep % 2 == 0 else ("this", "base")
-        for name, argv in REQUESTS.items():
-            for side in order:
-                runs[name][side].append(timed(request_cmd(argv), trees[side]))
+    with tempfile.TemporaryDirectory() as scratch:
+        for rep in range(REPEATS):
+            order = ("base", "this") if rep % 2 == 0 else ("this", "base")
+            for name, argv in REQUESTS.items():
+                for side in order:
+                    runs[name][side].append(timed(request_cmd(argv, scratch), trees[side]))
 
     startup = {}
     for name, r in runs.items():
