@@ -13,9 +13,7 @@ its gate turns into exit code 1; invalid parameters exit 2.
 """
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -103,11 +101,10 @@ def _column(values) -> list:
 
 
 def _csv(header, columns) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*map(_column, columns)))
-    return buf.getvalue()
+    # no field holds a comma, a quote or a line break (names, numbers and
+    # route or family labels), so none needs quoting
+    rows = [header, *zip(*map(_column, columns))]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def _emit(path, text: str):

@@ -194,13 +194,17 @@ class GridScalar:
     def partial(self, axis: int) -> "GridScalar":
         v = self.values
         head = (slice(None),) * (axis - 1)
-        diff = np.empty_like(v)
+        diff = np.empty(v.shape, v.dtype)
         # forward neighbour minus self, the last slice wrapping to the first
         np.subtract(v[head + (slice(1, None),)], v[head + (slice(None, -1),)],
                     out=diff[head + (slice(None, -1),)])
         np.subtract(v[head + (slice(None, 1),)], v[head + (slice(-1, None),)],
                     out=diff[head + (slice(-1, None),)])
-        diff /= self.grid.spacing[axis - 1]
+        # numpy divides a complex array by a real h as (re + im * 0) * (1 / h) in
+        # complex arithmetic; scaling the interleaved re, im by 1 / h gives the
+        # same finite values (up to the sign of a zero) at a quarter of the cost
+        scaled = diff.view(diff.real.dtype)
+        scaled *= 1.0 / self.grid.spacing[axis - 1]
         return GridScalar(diff, self.grid.spacing, self.grid.origin)
 
     def zero_like(self) -> "GridScalar":
@@ -558,6 +562,8 @@ def _numbers(value, field: str, shape: tuple) -> np.ndarray:
         raise ValueError(f"grid form: field '{field}' must hold numbers") from None
     if arr.shape != shape:
         raise ValueError(f"grid form: field '{field}' has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():  # json.loads reads NaN and Infinity
+        raise ValueError(f"grid form: field '{field}' must hold finite numbers")
     return arr
 
 

@@ -54,11 +54,24 @@ class EigenSolve1D:
     lambdas: np.ndarray  # the lowest count eigenvalues, ascending
 
 
+def _tridiagonal_eigenvalues(diag, off, first: int, last: int) -> np.ndarray:
+    """Eigenvalues first..last (0-based, ascending) of the symmetric tridiagonal
+    matrix with diagonal diag and off-diagonal off, by LAPACK dstebz bisection.
+
+    The arguments are those scipy's eigh_tridiagonal(select="i") passes: range
+    by index, abstol 0 (dstebz's default eps * norm), entire-matrix order.
+    """
+    from scipy.linalg.lapack import dstebz  # here, so the closed forms never load scipy
+
+    found, values, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, first + 1, last + 1, 0.0, "E")
+    if info != 0:
+        raise RuntimeError(f"dstebz failed with INFO = {info}")
+    return values[:found]
+
+
 def fd_eigensolve(M: int, count: int) -> EigenSolve1D:
     """Lowest eigenvalues of the mixed-endpoint second-derivative operator on
     the offset grid (eigenvalues only)."""
-    from scipy.linalg import eigh_tridiagonal  # here, so the closed forms never load scipy
-
     if M < MIN_GRID:
         raise ValueError(f"grid must have at least {MIN_GRID} cells")
     if not 1 <= count <= M:
@@ -68,9 +81,7 @@ def fd_eigensolve(M: int, count: int) -> EigenSolve1D:
     diag[0] = 1.0  # mirror ghost at phi=0: even reflection
     diag[-1] = 3.0  # Dirichlet face at phi=pi: odd reflection
     off = np.full(M - 1, -1.0)
-    lam = eigh_tridiagonal(diag / h**2, off / h**2, eigvals_only=True,
-                           select="i", select_range=(0, count - 1))
-    return EigenSolve1D(lambdas=lam)
+    return EigenSolve1D(lambdas=_tridiagonal_eigenvalues(diag / h**2, off / h**2, 0, count - 1))
 
 
 def fd_eigenvalue_closed_form(M: int, k: int) -> float:

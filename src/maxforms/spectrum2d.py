@@ -19,6 +19,7 @@ exactly into radial solves.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ import numpy as np
 
 from .bessel import eval_j, eval_j_prime_scaled, zeros_j, zeros_jprime
 from .exterior import FieldForm, ScalarField
-from .spectrum1d import analytic_pair, fd_eigenvalue_closed_form
+from .spectrum1d import _tridiagonal_eigenvalues, analytic_pair, fd_eigenvalue_closed_form
 
 HALF_ARC = math.pi
 MIN_GRID = 16
@@ -553,20 +554,17 @@ class RadialSolve:
     lambdas: np.ndarray
 
 
-def _radial_kernel(angular, M: int, count: int, bc: str) -> RadialSolve:
-    """Finite-volume radial eigenvalues with angular term angular / r^2: nu^2
-    for order nu, or a discrete angular eigenvalue.
+def _radial_operator(angular, M: int, bc: str):
+    """The symmetric tridiagonal (diag, off) of the finite-volume radial
+    operator with angular term angular / r^2: nu^2 for order nu, or a discrete
+    angular eigenvalue.
 
     Cell centers r_i = (i - 1/2) h on (0, 1); the r = 0 face carries zero
     flux weight so no condition is imposed there.  At r = 1 an odd-reflection
     ghost pins the value, a dropped flux pins the derivative.
     """
-    from scipy.linalg import eigh_tridiagonal  # here, so the closed forms never load scipy
-
     if M < MIN_GRID:
         raise ValueError(f"grid must have at least {MIN_GRID} cells")
-    if not 1 <= count <= M:
-        raise ValueError("count must be between 1 and M")
     if bc not in ("dirichlet", "neumann"):
         raise ValueError("bc must be 'dirichlet' or 'neumann'")
     h = 1.0 / M
@@ -576,37 +574,71 @@ def _radial_kernel(angular, M: int, count: int, bc: str) -> RadialSolve:
     diag[-1] = 3.0 * M - 1.0 if bc == "dirichlet" else M - 1.0
     diag = diag + angular * h / r
     # symmetric similarity with the cell mass diag(h r_i)
-    lam = eigh_tridiagonal(diag / (h * r), -idx[:-1] / (h * np.sqrt(r[:-1] * r[1:])),
-                           eigvals_only=True, select="i", select_range=(0, count - 1))
-    return RadialSolve(lambdas=lam)
+    return diag / (h * r), -idx[:-1] / (h * np.sqrt(r[:-1] * r[1:]))
 
 
 def radial_eigensolve(n: int, M: int, count: int, bc: str = "dirichlet") -> RadialSolve:
-    """Finite-volume eigenvalues of the order nu = n - 1/2 radial operator."""
-    return _radial_kernel((n - 0.5) ** 2, M, count, bc)
+    """The lowest count finite-volume eigenvalues of the order nu = n - 1/2
+    radial operator, from one bisection over that index range."""
+    diag, off = _radial_operator((n - 0.5) ** 2, M, bc)
+    if not 1 <= count <= M:
+        raise ValueError("count must be between 1 and M")
+    return RadialSolve(lambdas=_tridiagonal_eigenvalues(diag, off, 0, count - 1))
 
 
-def _merge_orders(count: int, values_of) -> list:
-    """The count smallest entries over angular orders k = 1, 2, ...
+def _merge_orders(count: int, entry) -> list:
+    """The count smallest entries over angular orders k = 1, 2, ..., merged lazily.
 
-    values_of(k) gives order k's ascending entries (values, or tuples led by the
-    value), empty past the last order.  Orders stop once order k's lowest entry
-    is above the count-th smallest so far: exact, since zeros of J_nu grow with
-    nu (DLMF 10.21) and discrete radial eigenvalues with the angular eigenvalue.
+    entry(k, j) gives order k's j-th entry in ascending order (a value, or a
+    tuple led by the value), or None when order k has no such entry.  A heap
+    holds the next candidate of each open order: order k's entry j is drawn
+    only once its entry j - 1 is taken, and order k + 1 is opened only once
+    order k's lowest is taken.  That is exact, since zeros of J_nu grow with
+    nu (DLMF 10.21) and discrete radial eigenvalues with the angular
+    eigenvalue, and it draws at most 2 count - 1 entries.
     """
-    pool = []
-    for k in itertools.count(1):
-        entries = values_of(k)
-        if len(entries) == 0 or (len(pool) == count and entries[0] > pool[-1]):
-            return pool
-        pool = sorted([*pool, *entries])[:count]
+    if count < 1:
+        raise ValueError("count must be positive")
+    merged, heap = [], []
+
+    def draw(k, j):
+        item = entry(k, j)
+        if item is not None:
+            heapq.heappush(heap, (item, k, j))
+
+    draw(1, 0)
+    while heap:
+        item, k, j = heapq.heappop(heap)
+        merged.append(item)
+        if len(merged) == count:
+            break
+        draw(k, j + 1)
+        if j == 0:
+            draw(k + 1, 0)
+    return merged
+
+
+def _radial_entries(angular_of, orders, M: int, bc: str):
+    """entry(k, j) for the merge: eigenvalue j of the radial operator with
+    angular term angular_of(k), for orders k up to orders.  Each value comes
+    from its own index-selected bisection, so it does not depend on how many
+    are merged."""
+    operator = functools.cache(lambda k: _radial_operator(angular_of(k), M, bc))
+
+    def entry(k, j):
+        if k > orders:
+            return None
+        diag, off = operator(k)  # validates M and bc on the first draw
+        return _tridiagonal_eigenvalues(diag, off, j, j)[0] if j < M else None
+
+    return entry
 
 
 def radial_spectrum(M: int, count: int, bc: str = "dirichlet") -> np.ndarray:
     """Lowest radial-solver eigenvalues merged across angular orders n, each
     order giving at most its M."""
-    values_of = lambda n: _radial_kernel((n - 0.5) ** 2, M, min(count, M), bc).lambdas
-    return np.array(_merge_orders(count, values_of))
+    entry = _radial_entries(lambda n: (n - 0.5) ** 2, math.inf, M, bc)
+    return np.array(_merge_orders(count, entry))
 
 
 @dataclass
@@ -630,13 +662,8 @@ def zaremba2d_eigensolve(M_r: int, M_phi: int, count: int = 4) -> Zaremba2DSolve
     if not 1 <= count <= M_r * M_phi:
         raise ValueError("count must be between 1 and M_r * M_phi")
 
-    def values_of(k):
-        if k > M_phi:
-            return ()
-        mu = fd_eigenvalue_closed_form(M_phi, k)
-        return _radial_kernel(mu, M_r, min(count, M_r), "dirichlet").lambdas
-
-    lambdas = np.array(_merge_orders(count, values_of))
+    mu = functools.partial(fd_eigenvalue_closed_form, M_phi)
+    lambdas = np.array(_merge_orders(count, _radial_entries(mu, M_phi, M_r, "dirichlet")))
     return Zaremba2DSolve(lambdas=lambdas, shape=(M_r, M_phi), unknowns=M_r * M_phi)
 
 
@@ -645,9 +672,13 @@ def reference_modes(q: int, count: int) -> list:
     if q not in (0, 1):
         raise ValueError("families are indexed by q in {0, 1}")
     zeros = zeros_j if q == 0 else zeros_jprime
-    rows_of = lambda n: [(float(z) ** 2, n, m, float(z))
-                         for m, z in enumerate(zeros(n, count).zeros, 1)]
-    return _merge_orders(count, rows_of)
+    table = functools.cache(lambda n: zeros(n, count).zeros)  # one per order opened
+
+    def entry(n, j):  # j < count: the merge takes at most count entries
+        z = float(table(n)[j])
+        return (z**2, n, j + 1, z)
+
+    return _merge_orders(count, entry)
 
 
 def reference_eigenvalues(q: int, count: int) -> np.ndarray:

@@ -113,10 +113,27 @@ def test_eigen2d_radial_route_serves_more_modes_than_radial_cells(capsys):
     )
     assert code == 0
     got = [row["lambda_num"] for row in json.loads(out)["results"]["modes"]]
-    pooled = np.concatenate(
-        [spectrum2d.radial_eigensolve(n, 16, 16, "neumann").lambdas for n in range(1, 18)]
-    )
+    # every value of the merge comes from its own index-selected bisection
+    pooled = [
+        spectrum2d._tridiagonal_eigenvalues(
+            *spectrum2d._radial_operator((n - 0.5) ** 2, 16, "neumann"), j, j)[0]
+        for n in range(1, 18) for j in range(16)
+    ]
     assert got == sorted(pooled)[:17]
+
+
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("modes", [1, 4, 8])
+def test_eigen2d_rows_do_not_depend_on_modes(q, modes, capsys):
+    # each value is canonical, so a shorter request is a bitwise prefix
+    def rows(count):
+        argv = ["eigen2d", "--q", str(q), "--modes", str(count), "--grid", "64,32",
+                "--format", "json"]
+        code, out = run(argv, capsys)
+        assert code == 0
+        return json.loads(out)["results"]["modes"]
+
+    assert rows(modes) == rows(modes + 4)[:modes]
 
 
 def test_bessel_zeros_serve_high_orders(capsys):
@@ -430,6 +447,11 @@ _MALFORMED = {
     "shape-mismatch": _stored("components/1/re", [[0, 1], [2, 3], [4, 5]]),
     "ragged": _stored("components/1/re", [[0, 1], [2]]),
     "text-values": _stored("components/1/im", [["a", 0], [0, 0]]),
+    # json.loads reads the NaN and Infinity that json.dumps writes
+    "nan-values": _stored("components/1/re", [[0, math.nan], [2, 3]]),
+    "infinite-values": _stored("components/1/im", [[0, 0], [-math.inf, 0]]),
+    "infinite-spacing": _stored("grid/spacing", [math.inf, 0.125]),
+    "nan-origin": _stored("grid/origin", [0.0, math.nan]),
 }
 
 
@@ -455,6 +477,17 @@ def test_malformed_form_file_exits_2_with_a_message(name, command, tmp_path, cap
     assert code == 2
     assert err.startswith("maxforms: error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["identities", "expand"])
+def test_non_finite_form_values_exit_2_naming_the_field(command, tmp_path, capsys):
+    # identities --strict used to print null residuals and exit 0
+    path = tmp_path / "form.json"
+    path.write_text(_MALFORMED["nan-values"])
+    code = cli.main([command, "--form", str(path), "--strict"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "'components.1.re' must hold finite numbers" in captured.err
 
 
 # one small request per subcommand, in its default format

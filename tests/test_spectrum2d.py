@@ -1,19 +1,23 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
+from maxforms import spectrum2d
 from maxforms.bessel import eval_j, zeros_j, zeros_jprime
 from maxforms.exterior import codiff, ext_d
+from maxforms.spectrum1d import _tridiagonal_eigenvalues, fd_eigenvalue_closed_form
 from maxforms.spectrum2d import (
     AngularPart,
     AngularTerm,
     PolarScalar,
     RadialFactor,
     _angular_nodes,
+    _radial_operator,
     analytic_eigenform,
     base_frequency,
     cartesian_components,
@@ -352,10 +356,16 @@ def test_separable_solve_matches_kronecker_oracle(M_r, M_phi, count):
     assert sol.unknowns == M_r * M_phi
 
 
-def _brute_force_merge(count, rows_of):
-    """The former merge: every order up to count + 4, sorted together."""
-    rows = [row for n in range(1, count + 5) for row in rows_of(n)]
+def _brute_force_merge(count, rows_of, orders=math.inf):
+    """Every order up to count + 4 (and orders), sorted together."""
+    rows = [row for n in range(1, min(count + 4, orders) + 1) for row in rows_of(n)]
     return sorted(rows)[:count]
+
+
+def _per_index(angular, M, count, bc):
+    """The lowest min(count, M) radial eigenvalues, one bisection per index."""
+    diag, off = _radial_operator(angular, M, bc)
+    return [_tridiagonal_eigenvalues(diag, off, j, j)[0] for j in range(min(count, M))]
 
 
 @pytest.mark.parametrize("q", [0, 1])
@@ -367,9 +377,62 @@ def test_order_stop_rule_matches_brute_force(q, count):
     ])
     assert reference_modes(q, count) == labeled
     radial = _brute_force_merge(
-        count, lambda n: radial_eigensolve(n, 256, count, bc="neumann").lambdas
+        count, lambda n: _per_index((n - 0.5) ** 2, 256, count, "neumann")
     )
     assert np.array_equal(radial_spectrum(256, count, bc="neumann"), radial)
+
+
+@pytest.mark.parametrize("M", [16, 17, 256])
+@pytest.mark.parametrize("count", range(1, 13))
+@pytest.mark.parametrize("q", [0, 1])
+def test_lazy_merge_matches_brute_force_over_per_index_values(q, count, M):
+    if q == 0:
+        got = zaremba2d_eigensolve(M, M, count).lambdas
+        want = _brute_force_merge(count, lambda k: _per_index(
+            fd_eigenvalue_closed_form(M, k), M, count, "dirichlet"), orders=M)
+    else:
+        got = radial_spectrum(M, count, bc="neumann")
+        want = _brute_force_merge(
+            count, lambda n: _per_index((n - 0.5) ** 2, M, count, "neumann"))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 12, 40])
+def test_lazy_merge_draws_at_most_two_entries_per_value(count, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:])
+        return _tridiagonal_eigenvalues(*args)
+
+    monkeypatch.setattr(spectrum2d, "_tridiagonal_eigenvalues", counted)
+    for solve in (lambda: radial_spectrum(64, count, bc="neumann"),
+                  lambda: zaremba2d_eigensolve(64, 32, count).lambdas):
+        calls.clear()
+        assert len(solve()) == count
+        assert all(first == last for first, last in calls)
+        assert len(calls) <= 2 * count - 1
+
+
+def _exact_rayleigh(diag, off, v) -> float:
+    """v^T T v / v^T v of the symmetric tridiagonal T, in exact rationals."""
+    d, e, v = ([Fraction(x) for x in a] for a in (diag, off, v))
+    quad = sum(a * b * b for a, b in zip(d, v)) + 2 * sum(a * b * c for a, b, c in zip(e, v, v[1:]))
+    return float(quad / sum(b * b for b in v))
+
+
+@pytest.mark.parametrize("M", [16, 17, 64])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("angular", [0.25, 30.25, 1e4])
+def test_per_index_values_agree_with_dense_solve(angular, bc, M):
+    # the dense eigenvectors' exact Rayleigh quotients are off by |residual|^2 / gap,
+    # far below the few eps * ||T|| of the dense eigenvalues themselves
+    diag, off = _radial_operator(angular, M, bc)
+    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    dense = [_exact_rayleigh(diag, off, v) for v in np.linalg.eigh(T)[1].T]
+    # four times dstebz's default absolute tolerance, eps * ||T||
+    tol = 4 * np.finfo(float).eps * np.max(np.sum(np.abs(T), axis=0))
+    assert np.max(np.abs(np.array(_per_index(angular, M, M, bc)) - dense)) <= tol
 
 
 def test_reference_eigenvalues():

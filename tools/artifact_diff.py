@@ -10,13 +10,13 @@ then every file left in the directory.  Run from the repository root:
     python3 tools/artifact_diff.py --base /path/to/other/checkout
 
 One line per request: `identical`, or the first file that differs and, for
-JSON, the largest deviation between numbers at the same place.  The exit code
-is 1 if any request differs.
+JSON and CSV, the largest absolute and relative deviation between numbers at
+the same place (or that the structures differ: keys, lengths, CSV headers or
+shapes, or text).  The exit code is 1 if any request differs.
 """
 
 import argparse
 import json
-import math
 import os
 import subprocess
 import sys
@@ -86,21 +86,62 @@ def run_request(tree: Path, commands: list) -> dict:
     return out
 
 
-def largest_deviation(a, b) -> float:
-    """Largest |a - b| over numbers at the same place; inf where the
-    structures differ."""
+def json_pairs(a, b, where=""):
+    """(key path, x, y) for every pair of numbers at the same place; None
+    where the structures differ."""
     if isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
-            return math.inf
-        return max((largest_deviation(a[k], b[k]) for k in a), default=0.0)
-    if isinstance(a, list) and isinstance(b, list):
+            return None
+        pairs = [json_pairs(a[k], b[k], f"{where}.{k}".lstrip(".")) for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            return math.inf
-        return max((largest_deviation(x, y) for x, y in zip(a, b)), default=0.0)
-    numbers = (int, float)
-    if isinstance(a, numbers) and isinstance(b, numbers) and not isinstance(a, bool):
-        return abs(a - b)
-    return 0.0 if a == b else math.inf
+            return None
+        pairs = [json_pairs(x, y, where) for x, y in zip(a, b)]
+    elif isinstance(a, (int, float)) and isinstance(b, (int, float)) and not isinstance(a, bool):
+        return [(where, a, b)]
+    else:
+        return [] if a == b else None
+    return None if None in pairs else [p for sub in pairs for p in sub]
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def csv_pairs(a: str, b: str):
+    """(column, x, y) for every pair of numeric cells at the same place; None
+    where the headers, the shapes or a text cell differ."""
+    rows_a, rows_b = ([line.split(",") for line in t.splitlines()] for t in (a, b))
+    if (len(rows_a) != len(rows_b) or rows_a[:1] != rows_b[:1]
+            or any(len(x) != len(y) for x, y in zip(rows_a, rows_b))):
+        return None
+    pairs = []
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for column, x, y in zip(rows_a[0], row_a, row_b):
+            nx, ny = _number(x), _number(y)
+            if nx is not None and ny is not None:
+                pairs.append((column, nx, ny))
+            elif x != y:
+                return None
+    return pairs
+
+
+def deviation(pairs) -> str:
+    """The largest absolute and relative deviation over the pairs, each with
+    the column or key path where it occurs."""
+    if pairs is None:
+        return "structures differ"
+    moved = [(where, abs(x - y), abs(x - y) / max(abs(x), abs(y)))
+             for where, x, y in pairs if x != y]
+    if not moved:
+        return "no numeric deviation"
+    absolute = max(moved, key=lambda m: m[1])
+    relative = max(moved, key=lambda m: m[2])
+    return (f"largest deviation {absolute[1]:.3g} absolute at {absolute[0]}, "
+            f"{relative[2]:.3g} relative at {relative[0]}")
 
 
 def compare(base: dict, ours: dict) -> str:
@@ -109,10 +150,14 @@ def compare(base: dict, ours: dict) -> str:
             continue
         if name not in base or name not in ours:
             return f"differs at {name} (present on one side only)"
-        if base[name][:1] != b"{" or ours[name][:1] != b"{":
+        a, b = base[name].decode(errors="replace"), ours[name].decode(errors="replace")
+        if a[:1] == b[:1] == "{":
+            pairs = json_pairs(json.loads(a), json.loads(b))
+        elif "," in a.partition("\n")[0]:  # a CSV header
+            pairs = csv_pairs(a, b)
+        else:
             return f"differs at {name}"
-        dev = largest_deviation(json.loads(base[name]), json.loads(ours[name]))
-        return f"differs at {name} (largest numeric deviation {dev:.3g})"
+        return f"differs at {name} ({deviation(pairs)})"
     return "identical"
 
 
