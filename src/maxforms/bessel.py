@@ -14,7 +14,8 @@ followed by a safeguarded Newton polish of all brackets at once.  The scan
 starts at nu: by DLMF 10.21.3, nu <= j'_(nu,1) < j_(nu,1), so no zero of
 either kind lies below it, and zeros of either kind are more than pi/8 apart.
 Every bracket thus lies on the upward route, whose one pass gives J_(nu-1)
-and J_nu, hence the function, its derivative and its second derivative.
+and J_nu, hence the function, its derivative and its second derivative; the
+eigenform normalization at a zero takes J and J' from that same pass.
 Tables are cached per (kind, order) and recomputed only when a longer one is
 asked for; the grid is anchored at nu and each bracket is polished on its own,
 so a shorter table is a bit-identical prefix of a longer one.
@@ -63,53 +64,34 @@ def _upward(n: int, x: np.ndarray):
 
 
 def _miller(n: int, x: np.ndarray):
-    """(J_(nu-1), J_nu) by Miller's backward recurrence in ratio form, stable
-    for x < nu."""
+    """J_nu by Miller's backward recurrence in ratio form, stable for x < nu."""
     if n == 1:
-        return _seed_minus_half(x), _seed_half(x)
+        return _seed_half(x)
     rho = np.zeros_like(x)
     tail = np.ones_like(x)  # rho_2 * ... * rho_(n-1)
     for k in range(n + 20 + math.isqrt(40 * n), 0, -1):
         rho = x / ((2 * k + 1) - x * rho)  # J_(k+1/2) / J_(k-1/2)
-        if k == n - 1:
-            top = rho  # positive: below nu, J_(nu-1) has no zero either
         if 2 <= k < n:
             tail *= rho
     half, three_half = _seed_half(x), _seed_three_half(x)
-    j = np.where(np.abs(half) >= np.abs(three_half), half * rho, three_half) * tail
-    return j / top, j
+    return np.where(np.abs(half) >= np.abs(three_half), half * rho, three_half) * tail
 
 
-def _pair(n: int, x):
-    """(J_(nu-1), J_nu) at positive x, one recurrence pass for both, and
-    whether x was a scalar."""
+def eval_j(n: int, x):
+    """J_(n-1/2)(x) for x > 0, vectorized over x."""
     _check_order(n)
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if np.any(arr <= 0.0):
         raise ValueError("arguments must be positive")
-    jm, j = np.empty_like(arr), np.empty_like(arr)
+    j = np.empty_like(arr)
     below = arr < n - 0.5
     if np.any(below):
-        jm[below], j[below] = _miller(n, arr[below])
+        j[below] = _miller(n, arr[below])
     if not np.all(below):
-        jm[~below], j[~below] = _upward(n, arr[~below])
-    return jm, j, scalar
-
-
-def eval_j(n: int, x):
-    """J_(n-1/2)(x) for x > 0, vectorized over x."""
-    _, j, scalar = _pair(n, x)
+        j[~below] = _upward(n, arr[~below])[1]
     return float(j[0]) if scalar else j
-
-
-def eval_j_prime_scaled(n: int, omega: float, r):
-    """d/dr J_(n-1/2)(omega r) by J'_nu = J_(nu-1) - (nu/x) J_nu, DLMF 10.6.2."""
-    x = omega * np.asarray(r, dtype=float)
-    jm, j, scalar = _pair(n, x)
-    out = omega * (jm - ((n - 0.5) / np.atleast_1d(x)) * j)
-    return float(out[0]) if scalar else out
 
 
 @dataclass

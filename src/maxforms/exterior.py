@@ -114,13 +114,6 @@ class ScalarField:
         return ScalarField(lambda x: c, lambda axis: ScalarField.constant(0.0))
 
     @staticmethod
-    def coordinate(axis: int):
-        """The field x_axis (1-based)."""
-        return ScalarField(
-            lambda x: x[axis - 1], lambda j: ScalarField.constant(1.0 if j == axis else 0.0)
-        )
-
-    @staticmethod
     def harmonic(freqs, phase=0.0, amp=1.0):
         """amp * cos(freqs . x + phase); derivatives close under phase shifts.
 
@@ -138,15 +131,6 @@ class ScalarField:
 
         return ScalarField(
             fn, lambda axis: ScalarField.harmonic(k, phase + np.pi / 2.0, a * k[axis - 1])
-        )
-
-    @staticmethod
-    def radial_power(exponent: float):
-        """|x|^exponent away from the origin."""
-        a = float(exponent)
-        return ScalarField(
-            lambda x: np.hypot.reduce(x) ** a,
-            lambda axis: a * (ScalarField.coordinate(axis) * ScalarField.radial_power(a - 2.0)),
         )
 
 

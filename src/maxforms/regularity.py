@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum2d import (
-    HALF_ARC, _angular_nodes, _legendre, analytic_eigenform, cartesian_components,
+    HALF_ARC, _angular_nodes, _legendre, _on_grid, analytic_eigenform, cartesian_components,
 )
 
 LADDER_RATIO = 4.0
@@ -49,23 +49,12 @@ def _shell_rule():
 
 
 def _ring_energies(partials: list, r: np.ndarray) -> np.ndarray:
-    """Per radius, the angular integral of the summed squared partials.
-
-    Each distinct radial factor is evaluated once across the partials; every
-    partial then sums its pairs as PolarScalar.__call__ does on the
-    (r, phi) grid."""
-    h_phi = HALF_ARC / _M_PHI
-    phi = _angular_nodes(_M_PHI)
-    radial = {R: R(r) for R in dict.fromkeys(R for p in partials for R, _ in p.pairs)}
+    """Per radius, the angular integral of the summed squared partials, one
+    partial's grid at a time."""
     rows = np.zeros(len(r))
-    for p in partials:
-        k = len(p.pairs)
-        vals = np.einsum("k...,k...->...",
-                         np.array([radial[R] for R, _ in p.pairs]).reshape(k, len(r), 1),
-                         np.array([A(phi) for _, A in p.pairs]).reshape(k, 1, _M_PHI),
-                         dtype=complex)
+    for vals in _on_grid(partials, r, _angular_nodes(_M_PHI)):
         rows += np.sum(np.abs(vals) ** 2, axis=1)
-    return h_phi * rows
+    return (HALF_ARC / _M_PHI) * rows
 
 
 @dataclass

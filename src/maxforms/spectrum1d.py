@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 ARC = math.pi
-MIN_GRID = 16
 
 
 @dataclass
@@ -61,6 +60,8 @@ def _tridiagonal_eigenvalues(diag, off, first: int, last: int) -> np.ndarray:
     The arguments are those scipy's eigh_tridiagonal(select="i") passes: range
     by index, abstol 0 (dstebz's default eps * norm), entire-matrix order.
     """
+    if len(diag) == 1:  # dstebz's wrapper refuses an empty off-diagonal
+        return np.array(diag, dtype=float)
     from scipy.linalg.lapack import dstebz  # here, so the closed forms never load scipy
 
     found, values, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, first + 1, last + 1, 0.0, "E")
@@ -72,14 +73,14 @@ def _tridiagonal_eigenvalues(diag, off, first: int, last: int) -> np.ndarray:
 def fd_eigensolve(M: int, count: int) -> EigenSolve1D:
     """Lowest eigenvalues of the mixed-endpoint second-derivative operator on
     the offset grid (eigenvalues only)."""
-    if M < MIN_GRID:
-        raise ValueError(f"grid must have at least {MIN_GRID} cells")
+    if M < 1:
+        raise ValueError(f"grid cells must be positive, got {M}")
     if not 1 <= count <= M:
         raise ValueError("count must be between 1 and M")
     h = ARC / M
     diag = np.full(M, 2.0)
     diag[0] = 1.0  # mirror ghost at phi=0: even reflection
-    diag[-1] = 3.0  # Dirichlet face at phi=pi: odd reflection
+    diag[-1] += 1.0  # Dirichlet face at phi=pi: odd reflection
     off = np.full(M - 1, -1.0)
     return EigenSolve1D(lambdas=_tridiagonal_eigenvalues(diag / h**2, off / h**2, 0, count - 1))
 

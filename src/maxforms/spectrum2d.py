@@ -26,12 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import eval_j, eval_j_prime_scaled, zeros_j, zeros_jprime
+from .bessel import _with_slope, eval_j, zeros_j, zeros_jprime
 from .exterior import FieldForm, ScalarField
 from .spectrum1d import _tridiagonal_eigenvalues, analytic_pair, fd_eigenvalue_closed_form
 
 HALF_ARC = math.pi
-MIN_GRID = 16
 _ROUNDOFF = float(np.finfo(float).eps)
 # one Gauss-Legendre rule per node count, shared by every call: callers only read it
 _legendre = functools.cache(np.polynomial.legendre.leggauss)
@@ -239,6 +238,24 @@ class PolarScalar:
         )
 
 
+def _radial_values(scalars, r: np.ndarray) -> dict:
+    """Every distinct radial factor of the scalars, evaluated once on the nodes r."""
+    return {R: R(r) for R in dict.fromkeys(R for ps in scalars for R, _ in ps.pairs)}
+
+
+def _on_grid(scalars, r: np.ndarray, phi: np.ndarray):
+    """Each scalar on the (r, phi) tensor grid in turn, summed over its pairs as
+    PolarScalar.__call__ sums them, from one evaluation of every distinct
+    radial factor across the scalars."""
+    radial = _radial_values(scalars, r)
+    for ps in scalars:
+        k = len(ps.pairs)
+        yield np.einsum("k...,k...->...",
+                        np.array([radial[R] for R, _ in ps.pairs]).reshape(k, len(r), 1),
+                        np.array([A(phi) for _, A in ps.pairs]).reshape(k, 1, len(phi)),
+                        dtype=complex)
+
+
 # ---------------------------------------------------------------------------
 # the four eigenfield families
 
@@ -275,10 +292,11 @@ def base_frequency(q: int, n: int, m: int) -> float:
 
 def _norm_constant(n: int, omega: float) -> float:
     # closed form for int_0^1 J_nu(w r)^2 r dr; both endpoint conditions are
-    # covered because the formula carries the J and J' terms together
+    # covered because the formula carries the J and J' terms together.  omega
+    # is a zero of J_nu or J_nu', so omega >= nu (DLMF 10.21.3) and one upward
+    # pass of the zero scan gives both values
     nu = n - 0.5
-    j = float(eval_j(n, omega))
-    jp = float(eval_j_prime_scaled(n, omega, 1.0)) / omega
+    j, jp = (float(v[0]) for v in _with_slope("fn", n)(np.array([omega])))
     radial = 0.5 * (jp**2 + (1.0 - nu**2 / omega**2) * j**2)
     return 1.0 / math.sqrt((HALF_ARC / 2.0) * radial)
 
@@ -472,10 +490,10 @@ def extract_coefficients(
     """Project each circle trace of an eigenform onto the half-circle basis.
 
     Separably: a part sum_i R_i(r) A_i(phi) has the coefficients
-    sum_i R_i(r) <A_i, basis_k>, so each radial factor is evaluated once on
-    the M_r nodes (times r for the 'd' and 'b' families), each angular sum is
-    projected once by the midpoint rule on M_phi nodes, and no M_r x M_phi
-    grid is formed.  The angular sums have order n = mode.n, for which the
+    sum_i R_i(r) <A_i, basis_k>, so each distinct radial factor of the parts
+    is evaluated once on the M_r nodes (times r for the 'd' and 'b'
+    families), each angular sum is projected once by the midpoint rule on
+    M_phi nodes, and no M_r x M_phi grid is formed.  The angular sums have order n = mode.n, for which the
     rule is exact against basis order k when n + k - 1 < 2 M_phi
     (project_angular); M_phi is a floor, raised to the smallest count exact
     for every requested order.
@@ -487,10 +505,12 @@ def extract_coefficients(
     r = radial_nodes(M_r)
     phi = _angular_nodes(M_phi)
     h = HALF_ARC / M_phi
+    stored = _FAMILIES[mode.degree]
+    values = _radial_values([mode.parts[part] for _, part, _ in stored], r)
     families = {}
-    for letter, part, metric in _FAMILIES[mode.degree]:
+    for letter, part, metric in stored:
         pairs = mode.parts[part].pairs
-        radial = np.array([R(r) for R, _ in pairs])  # (pairs, M_r)
+        radial = np.array([values[R] for R, _ in pairs])  # (pairs, M_r)
         proj = h * (np.array([A(phi) for _, A in pairs]) @ _basis_rows(letter, n_list, phi).T)
         families[letter] = proj.T @ (r * radial if metric else radial)
     return CoefficientSet(n_list=n_list, nodes=r, families=families, M_phi=M_phi)
@@ -563,8 +583,8 @@ def _radial_operator(angular, M: int, bc: str):
     flux weight so no condition is imposed there.  At r = 1 an odd-reflection
     ghost pins the value, a dropped flux pins the derivative.
     """
-    if M < MIN_GRID:
-        raise ValueError(f"grid must have at least {MIN_GRID} cells")
+    if M < 1:
+        raise ValueError(f"radial cells must be positive, got {M}")
     if bc not in ("dirichlet", "neumann"):
         raise ValueError("bc must be 'dirichlet' or 'neumann'")
     h = 1.0 / M
@@ -657,8 +677,8 @@ def zaremba2d_eigensolve(M_r: int, M_phi: int, count: int = 4) -> Zaremba2DSolve
     eigenvalues mu_k are closed-form; diagonalizing it (Lynch, Rice & Thomas,
     Numer. Math. 6, 1964) leaves exactly the radial problems with nu^2 -> mu_k.
     """
-    if M_r < MIN_GRID or M_phi < MIN_GRID:
-        raise ValueError(f"each direction needs at least {MIN_GRID} cells")
+    if M_r < 1 or M_phi < 1:
+        raise ValueError(f"grid cells must be positive, got {M_r},{M_phi}")
     if not 1 <= count <= M_r * M_phi:
         raise ValueError("count must be between 1 and M_r * M_phi")
 
@@ -672,9 +692,11 @@ def reference_modes(q: int, count: int) -> list:
     if q not in (0, 1):
         raise ValueError("families are indexed by q in {0, 1}")
     zeros = zeros_j if q == 0 else zeros_jprime
-    table = functools.cache(lambda n: zeros(n, count).zeros)  # one per order opened
+    # order n opens once n - 1 values are taken and draws entry j only while
+    # (n - 1) + j < count, so count - n + 1 zeros serve it
+    table = functools.cache(lambda n: zeros(n, count - n + 1).zeros)
 
-    def entry(n, j):  # j < count: the merge takes at most count entries
+    def entry(n, j):
         z = float(table(n)[j])
         return (z**2, n, j + 1, z)
 
@@ -701,6 +723,7 @@ def gram_matrix_2d(modes, M_r: int = 32, M_phi: int = 16) -> np.ndarray:
     are floors, raised to what the modes need: M_phi to 2 n_max, and M_r to
     16 + ceil(omega_max), since the products oscillate like (w_i + w_j) s^2
     (roundoff, 1e-13, takes about 16 + 0.85 omega_max nodes up to omega 47).
+    Each distinct radial factor over all the modes' parts is evaluated once.
     """
     modes = list(modes)
     if not modes:
@@ -712,9 +735,10 @@ def gram_matrix_2d(modes, M_r: int = 32, M_phi: int = 16) -> np.ndarray:
     M_phi = max(M_phi, 2 * max(mode.n for mode in modes))
     x, w = _legendre(M_r)
     s = 0.5 * (x + 1.0)
-    rg, pg = (s * s)[:, None], _angular_nodes(M_phi)[None, :]
     weight = (w * s**3)[:, None] * (HALF_ARC / M_phi)  # r dr = 2 s^3 ds, ds = dx / 2
 
     # (modes, components, M_r, M_phi), flattened past the mode axis; rho before tau
-    C = np.array([[ps(rg, pg) for ps in mode.parts.values()] for mode in modes])
+    parts = [ps for mode in modes for ps in mode.parts.values()]
+    C = np.array(list(_on_grid(parts, s * s, _angular_nodes(M_phi))))
+    C = C.reshape(len(modes), -1, M_r, M_phi)
     return (C * weight).reshape(len(modes), -1) @ C.reshape(len(modes), -1).conj().T

@@ -6,6 +6,22 @@ from maxforms.exterior import FieldForm, GridScalar, ScalarField, evaluate
 from maxforms.multiindex import enumerate_ordered
 
 
+def coordinate(axis):
+    """The field x_axis (1-based)."""
+    return ScalarField(
+        lambda x: x[axis - 1], lambda j: ScalarField.constant(1.0 if j == axis else 0.0)
+    )
+
+
+def radial_power(exponent):
+    """|x|^exponent away from the origin."""
+    a = float(exponent)
+    return ScalarField(
+        lambda x: np.hypot.reduce(x) ** a,
+        lambda axis: a * (coordinate(axis) * radial_power(a - 2.0)),
+    )
+
+
 def random_scalar_field(N, rng, n_terms=2, max_freq=2):
     """Sum of harmonic waves with integer frequencies; derivatives exact to any order."""
     f = None

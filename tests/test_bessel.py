@@ -12,12 +12,7 @@ import pytest
 from scipy import special
 
 from maxforms import bessel
-from maxforms.bessel import (
-    eval_j,
-    eval_j_prime_scaled,
-    zeros_j,
-    zeros_jprime,
-)
+from maxforms.bessel import _with_slope, eval_j, zeros_j, zeros_jprime
 
 
 def bisect_oracle(f, lo, hi):
@@ -75,7 +70,7 @@ def test_branch_seam_is_smooth():
 
     for n in (4, 8, 12, 30, 60):
         x = np.array([n - 0.5])
-        assert abs(_miller(n, x)[0] / _upward(n, x)[0] - 1.0) < 1e-13
+        assert abs(_miller(n, x)[0] / _upward(n, x)[1][0] - 1.0) < 1e-13
         below = np.nextafter(x, 0.0)
         assert abs(eval_j(n, below)[0] / eval_j(n, x)[0] - 1.0) < 1e-13
 
@@ -107,12 +102,15 @@ def test_eval_rejects_bad_input():
 
 
 def test_derivative_identity_against_oracle():
-    r = np.linspace(0.05, 4.0, 211)
-    omega = 3.7
-    for n in (1, 2, 5, 12):
-        mine = eval_j_prime_scaled(n, omega, r)
-        ref = omega * special.jvp(n - 0.5, omega * r)
-        assert np.max(np.abs(mine - ref)) < 1e-12
+    # the zero scan's one upward pass, at x >= nu: (J, J') for "fn", (J', J'')
+    # for "dfn"
+    for n in (1, 2, 5, 12, 40):
+        nu = n - 0.5
+        x = np.linspace(nu, nu + 30.0, 211)
+        for kind, first in (("fn", 0), ("dfn", 1)):
+            for got, order in zip(_with_slope(kind, n)(x), (first, first + 1)):
+                ref = special.jvp(nu, x, order)
+                assert np.max(np.abs(got - ref)) < 1e-12, (n, kind, order)
 
 
 # -- zeros ------------------------------------------------------------------------

@@ -105,6 +105,21 @@ def test_eigen2d_serves_more_modes_and_large_grids(argv, modes, capsys):
     assert len(rows_of(out)) == modes
 
 
+@pytest.mark.parametrize("argv,modes", [
+    (["eigen1d", "--grid", "8"], 8),
+    (["eigen1d", "--grid", "1", "--modes", "1"], 1),
+    (["eigen2d", "--q", "1", "--grid", "8"], 4),
+    (["eigen2d", "--q", "1", "--grid", "1", "--modes", "3"], 3),
+    (["eigen2d", "--grid", "512,8"], 4),
+    (["eigen2d", "--grid", "1,1", "--modes", "1"], 1),
+])
+def test_small_grids_are_served(argv, modes, capsys):
+    # the operators' only limits: one cell, and no more values than unknowns
+    code, out = run(argv, capsys)
+    assert code == 0
+    assert len(rows_of(out)) == modes
+
+
 def test_eigen2d_radial_route_serves_more_modes_than_radial_cells(capsys):
     # each angular order has up to M_r eigenvalues; the merge pools them all
     code, out = run(

@@ -34,12 +34,14 @@ from maxforms.multiindex import (
 )
 
 from formutil import (
+    coordinate,
     form_max_abs,
     form_max_diff,
     grid_max_abs,
     interior,
     random_callable_form,
     random_grid_form,
+    radial_power,
     sample_points,
 )
 
@@ -462,9 +464,9 @@ def test_batched_fields_match_pointwise():
     leaf = ScalarField(lambda x: np.sin(2.0 * x[0]) * x[2])
     fields = [
         ScalarField.constant(0.5 - 2.0j),
-        ScalarField.coordinate(2),
+        coordinate(2),
         ScalarField.harmonic([1.0, -2.0, 1.0], 0.4, 1.0 - 1.0j),
-        ScalarField.radial_power(-1.5),
+        radial_power(-1.5),
         leaf,
     ]
     fields += [fields[2] + fields[3], fields[1] * fields[2], 3.0j * fields[3], leaf - fields[0]]

@@ -43,6 +43,15 @@ def test_solver_matches_closed_form_exactly():
         assert abs(sol.lambdas[k - 1] - expected) <= 1e-12 * expected
 
 
+@pytest.mark.parametrize("M", range(1, 16))
+def test_solver_matches_closed_form_on_every_small_grid(M):
+    # one cell carries both endpoint conditions at M = 1
+    sol = fd_eigensolve(M, M)
+    for k in range(1, M + 1):
+        expected = fd_eigenvalue_closed_form(M, k)
+        assert abs(sol.lambdas[k - 1] - expected) <= 1e-12 * expected
+
+
 def test_closed_form_has_no_cancellation_on_fine_grids():
     # Taylor oracle of the discrete eigenvalue in t = omega h
     M, k = 65536, 1
@@ -102,7 +111,7 @@ def test_eigenvalues_strictly_increasing():
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        fd_eigensolve(8, 2)
+        fd_eigensolve(0, 1)
     with pytest.raises(ValueError):
         fd_eigensolve(32, 0)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from maxforms import spectrum2d
+from maxforms import bessel, spectrum2d
 from maxforms.bessel import eval_j, zeros_j, zeros_jprime
 from maxforms.exterior import codiff, ext_d
 from maxforms.spectrum1d import _tridiagonal_eigenvalues, fd_eigenvalue_closed_form
@@ -124,7 +124,7 @@ def test_evaluation_calls_eval_j_once_per_bessel_factor(label, monkeypatch):
     comps = cartesian_components(analytic_eigenform(*label))
     partials = [ps.cartesian_partial(axis) for ps in comps.values() for axis in (1, 2)]
     r, phi = np.linspace(0.05, 0.95, 7)[:, None], np.linspace(0.1, 3.0, 9)[None, :]
-    orders.clear()  # the normalization evaluates J once on its own
+    assert orders == []  # the normalization takes J from the zero scan's pass
     for ps in comps.values():
         ps(r, phi)
     assert len(orders) == 4  # J_n / r and J_(n+1) per component
@@ -324,7 +324,8 @@ def test_two_dimensional_errors_decrease_under_refinement():
 
 
 def _kronecker_oracle(M_r, M_phi, count):
-    """The 2D operator assembled as Kronecker sums, shift-invert Lanczos at 0."""
+    """The 2D operator assembled as Kronecker sums, shift-invert Lanczos at 0;
+    a dense symmetric solve where Lanczos cannot take count values."""
     h_r, h_phi = 1.0 / M_r, math.pi / M_phi
     idx = np.arange(1, M_r + 1, dtype=float)
     r = (idx - 0.5) * h_r
@@ -332,22 +333,26 @@ def _kronecker_oracle(M_r, M_phi, count):
     diag_r[-1] = 3.0 * M_r - 1.0  # outer arc pinned
     K_r = sparse.diags([-idx[:-1], diag_r, -idx[:-1]], offsets=(-1, 0, 1))
     diag_phi = np.full(M_phi, 2.0)
-    diag_phi[0] = 1.0  # mirror edge
-    diag_phi[-1] = 3.0  # pinned edge
+    diag_phi[0] -= 1.0  # mirror edge
+    diag_phi[-1] += 1.0  # pinned edge; one cell carries both edges
     off_phi = np.full(M_phi - 1, -1.0)
     S_phi = sparse.diags([off_phi, diag_phi, off_phi], offsets=(-1, 0, 1)) / h_phi
     A = sparse.kron(K_r, h_phi * sparse.identity(M_phi)) + sparse.kron(
         sparse.diags(h_r / r), S_phi
     )
-    B = sparse.diags(np.kron(r * h_r, np.full(M_phi, h_phi)))
-    vals = eigsh(A.tocsc(), k=count, M=B.tocsc(), sigma=0.0, which="LM",
+    b = np.kron(r * h_r, np.full(M_phi, h_phi))
+    if count >= M_r * M_phi:
+        scale = 1.0 / np.sqrt(b)
+        return np.linalg.eigvalsh(scale[:, None] * A.toarray() * scale[None, :])[:count]
+    vals = eigsh(A.tocsc(), k=count, M=sparse.diags(b).tocsc(), sigma=0.0, which="LM",
                  return_eigenvectors=False)
     return np.sort(vals)
 
 
 @pytest.mark.parametrize(
     "M_r,M_phi,count",
-    [(64, 64, 4), (64, 64, 8), (128, 128, 4), (128, 128, 8), (96, 48, 6), (16, 64, 20)],
+    [(64, 64, 4), (64, 64, 8), (128, 128, 4), (128, 128, 8), (96, 48, 6), (16, 64, 20),
+     (1, 1, 1), (1, 8, 8), (8, 1, 8), (2, 3, 6), (3, 2, 5), (8, 8, 12), (512, 8, 4)],
 )
 def test_separable_solve_matches_kronecker_oracle(M_r, M_phi, count):
     sol = zaremba2d_eigensolve(M_r, M_phi, count)
@@ -380,6 +385,26 @@ def test_order_stop_rule_matches_brute_force(q, count):
         count, lambda n: _per_index((n - 0.5) ** 2, 256, count, "neumann")
     )
     assert np.array_equal(radial_spectrum(256, count, bc="neumann"), radial)
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_reference_modes_compute_only_the_zeros_the_merge_can_draw(q, monkeypatch):
+    zeros = zeros_j if q == 0 else zeros_jprime
+    monkeypatch.setattr(bessel, "_TABLES", {})
+    full = {n: zeros(n, 60).zeros for n in range(1, 65)}
+    for count in range(1, 61):
+        labeled = _brute_force_merge(count, lambda n: [
+            (float(z) ** 2, n, m, float(z)) for m, z in enumerate(full[n][:count], 1)
+        ])
+        monkeypatch.setattr(bessel, "_TABLES", {})
+        assert reference_modes(q, count) == labeled
+        # order n holds count - n + 1 zeros: a short table is a prefix of a long one
+        assert all(len(table) == count - n + 1 for (_, n), table in bessel._TABLES.items())
+    # count 40 opens 15 orders for q = 0 and 16 for q = 1: 495 and 520 zeros,
+    # where a full table per order would take 600 and 640
+    monkeypatch.setattr(bessel, "_TABLES", {})
+    reference_modes(q, 40)
+    assert sum(len(table) for table in bessel._TABLES.values()) == (495, 520)[q]
 
 
 @pytest.mark.parametrize("M", [16, 17, 256])
@@ -421,7 +446,7 @@ def _exact_rayleigh(diag, off, v) -> float:
     return float(quad / sum(b * b for b in v))
 
 
-@pytest.mark.parametrize("M", [16, 17, 64])
+@pytest.mark.parametrize("M", [1, 2, 3, 16, 17, 64])
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("angular", [0.25, 30.25, 1e4])
 def test_per_index_values_agree_with_dense_solve(angular, bc, M):
@@ -492,11 +517,13 @@ def test_validation():
     with pytest.raises(ValueError):
         analytic_eigenform(0, 1, 1, role="X")
     with pytest.raises(ValueError):
-        radial_eigensolve(1, 8, 1)
+        radial_eigensolve(1, 0, 1)
     with pytest.raises(ValueError):
         radial_eigensolve(1, 64, 1, bc="robin")
     with pytest.raises(ValueError):
-        zaremba2d_eigensolve(8, 64)
+        zaremba2d_eigensolve(0, 64)
+    with pytest.raises(ValueError):
+        zaremba2d_eigensolve(64, 0)
     with pytest.raises(ValueError):
         zaremba2d_eigensolve(16, 16, 16 * 16 + 1)
     with pytest.raises(ValueError):
@@ -511,3 +538,108 @@ def test_validation():
     ps = PolarScalar([])
     with pytest.raises(ValueError):
         ps.cartesian_partial(3)
+
+
+# -- one evaluation of every distinct radial factor per node set ------------------
+
+# angular and radial ranks, low and high
+_RANKS = [(n, m) for n in (1, 2, 3, 8) for m in (1, 2, 3, 12)]
+_EVALUATION_LABELS = [(q, role, n, m) for q in (0, 1) for role in ("E", "H") for n, m in _RANKS]
+
+
+def per_part_gram(modes, M_r, M_phi):
+    """Oracle of gram_matrix_2d: every frame part evaluated on its own, by
+    PolarScalar.__call__ on the broadcast (r, phi) grid, at the same raised
+    node counts."""
+    M_r = max(M_r, 16 + math.ceil(max(mode.omega for mode in modes)))
+    M_phi = max(M_phi, 2 * max(mode.n for mode in modes))
+    x, w = np.polynomial.legendre.leggauss(M_r)
+    s = 0.5 * (x + 1.0)
+    rg, pg = (s * s)[:, None], _angular_nodes(M_phi)[None, :]
+    weight = (w * s**3)[:, None] * (math.pi / M_phi)
+    C = np.array([[ps(rg, pg) for ps in mode.parts.values()] for mode in modes])
+    return (C * weight).reshape(len(modes), -1) @ C.reshape(len(modes), -1).conj().T
+
+
+def per_part_extraction(mode, n_list, M_r, M_phi):
+    """Oracle of extract_coefficients: the radial factors of each frame part
+    evaluated apart from the other part's."""
+    n_list = tuple(n_list)
+    M_phi = max(M_phi, (mode.n + max(n_list) + 1) // 2)
+    r = radial_nodes(M_r)
+    phi = _angular_nodes(M_phi)
+    families = {}
+    for letter, part, metric in spectrum2d._FAMILIES[mode.degree]:
+        pairs = mode.parts[part].pairs
+        radial = np.array([R(r) for R, _ in pairs])
+        proj = (math.pi / M_phi) * (np.array([A(phi) for _, A in pairs])
+                                    @ spectrum2d._basis_rows(letter, n_list, phi).T)
+        families[letter] = proj.T @ (r * radial if metric else radial)
+    return families
+
+
+def two_pass_norm_constant(n, omega):
+    """Oracle of the normalization: J from eval_j, and J' from its own upward
+    pass as omega (J_(nu-1) - (nu / x) J_nu), divided by omega again."""
+    nu = n - 0.5
+    j = eval_j(n, omega)
+    jm, jn = bessel._upward(n, np.array([omega]))
+    jp = float(omega * (jm - (nu / omega) * jn)[0]) / omega
+    return 1.0 / math.sqrt((math.pi / 2.0) * 0.5 * (jp**2 + (1.0 - nu**2 / omega**2) * j**2))
+
+
+@pytest.mark.parametrize("role", ["E", "H"])
+@pytest.mark.parametrize("q", [0, 1])
+def test_gram_equals_per_part_evaluation(q, role):
+    modes = [analytic_eigenform(q, n, m, role) for n, m in _RANKS]
+    for M_r, M_phi in ((32, 16), (400, 400)):
+        assert np.array_equal(gram_matrix_2d(modes, M_r, M_phi),
+                              per_part_gram(modes, M_r, M_phi))
+
+
+@pytest.mark.parametrize("q,role,n,m", _EVALUATION_LABELS)
+def test_extraction_equals_per_part_evaluation(q, role, n, m):
+    mode = analytic_eigenform(q, n, m, role)
+    got = extract_coefficients(mode, range(1, 9), M_r=400, M_phi=256).families
+    want = per_part_extraction(mode, range(1, 9), 400, 256)
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[letter], want[letter]) for letter in want)
+
+
+def test_normalization_matches_the_two_pass_route():
+    # equal on every label up to n = 12, m = 6; past it the two routes round
+    # omega J' differently, within 2 eps relative
+    for q in (0, 1):
+        for n in (*range(1, 41), 60, 100, 140):
+            for m in range(1, 13):
+                omega = base_frequency(q, n, m)
+                got, want = spectrum2d._norm_constant(n, omega), two_pass_norm_constant(n, omega)
+                if n <= 12 and m <= 6:
+                    assert got == want, (q, n, m)
+                assert abs(got - want) <= 2 * np.finfo(float).eps * want, (q, n, m)
+
+
+def test_each_distinct_radial_factor_is_evaluated_once_per_node_set(monkeypatch):
+    from maxforms.regularity import classify
+
+    calls = []
+
+    def counted(order, x):
+        calls.append(order)
+        return eval_j(order, x)
+
+    monkeypatch.setattr(spectrum2d, "eval_j", counted)
+    for q in (0, 1):
+        for role in ("E", "H"):
+            modes = [analytic_eigenform(q, n, m, role) for _, n, m, _ in reference_modes(q, 6)]
+            assert calls == []  # construction evaluates no factor
+            gram_matrix_2d(modes)
+            distinct = {R for mode in modes for ps in mode.parts.values() for R, _ in ps.pairs}
+            assert len(calls) == len(distinct)
+            calls.clear()
+    for q, n, m, role in ((0, 1, 1, "H"), (0, 3, 2, "H"), (1, 2, 1, "E"), (1, 4, 3, "E")):
+        extract_coefficients(analytic_eigenform(q, n, m, role), range(1, 9))
+        assert len(calls) == 2  # J_n / r in both parts, J_(n+1) in one
+        calls.clear()
+    classify(0, 2, 2, "H")
+    assert len(calls) == 3

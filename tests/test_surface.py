@@ -20,21 +20,24 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _names_used(paths) -> set:
-    """Every identifier read, every attribute taken, every keyword passed and
-    every name imported.  A name only assigned is not a use, so a dataclass
-    field is not reached by its own declaration."""
-    used = set()
+def _uses(paths) -> dict:
+    """Name -> (path, line) of every identifier read, every attribute taken,
+    every keyword passed and every name imported.  A name only assigned is not
+    a use, so a dataclass field is not reached by its own declaration."""
+    used = {}
     for path in paths:
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
+                name = node.id
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                name = node.attr
             elif isinstance(node, ast.keyword) and node.arg:
-                used.add(node.arg)
+                name = node.arg
             elif isinstance(node, ast.alias):
-                used.add(node.name.rsplit(".", 1)[-1])
+                name = node.name.rsplit(".", 1)[-1]
+            else:
+                continue
+            used.setdefault(name, []).append((path, node.lineno))
     return used
 
 
@@ -48,22 +51,32 @@ def _member_name(node):
 
 
 def _definitions():
+    """(label, name, path, line span) of every definition the rule covers."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in _tree(path).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            found = [(f"{path.stem}.{node.name}", node.name)]
+            found = [(f"{path.stem}.{node.name}", node)]
             if isinstance(node, ast.ClassDef):
-                found += [(f"{path.stem}.{node.name}.{name}", name)
-                          for name in map(_member_name, node.body) if name]
-            for label, name in found:
+                found += [(f"{path.stem}.{node.name}.{_member_name(member)}", member)
+                          for member in node.body if _member_name(member)]
+            for label, member in found:
+                name = _member_name(member) or member.name
                 if not (name.startswith("__") and name.endswith("__")):
-                    yield label, name
+                    yield label, name, path, (member.lineno, member.end_lineno)
 
 
 def test_every_definition_is_reached_from_the_product_surface():
     sources = [*PACKAGE.glob("*.py"), ROOT / "tests" / "test_acceptance.py",
                *(ROOT / "perfbench").glob("*.py")]
-    reached = _names_used(sources) | set(maxforms.__all__)
-    unreached = sorted(label for label, name in _definitions() if name not in reached)
+    uses = _uses(sources)
+    exported = set(maxforms.__all__)
+
+    def reached(name, path, span) -> bool:
+        # a use inside the definition's own lines, such as a recursive call, does not count
+        return name in exported or any(
+            where != path or not span[0] <= line <= span[1] for where, line in uses.get(name, ()))
+
+    unreached = sorted(label for label, name, path, span in _definitions()
+                       if not reached(name, path, span))
     assert not unreached, f"defined in src/maxforms but reached by nothing: {unreached}"

@@ -9,10 +9,10 @@ then every file left in the directory.  Run from the repository root:
 
     python3 tools/artifact_diff.py --base /path/to/other/checkout
 
-One line per request: `identical`, or the first file that differs and, for
-JSON and CSV, the largest absolute and relative deviation between numbers at
-the same place (or that the structures differ: keys, lengths, CSV headers or
-shapes, or text).  The exit code is 1 if any request differs.
+One line per request: `identical`, or every file that differs, each with,
+for JSON and CSV, the largest absolute and relative deviation between numbers
+at the same place (or that the structures differ: keys, lengths, CSV headers
+or shapes, or text).  The exit code is 1 if any request differs.
 """
 
 import argparse
@@ -144,21 +144,27 @@ def deviation(pairs) -> str:
             f"{relative[2]:.3g} relative at {relative[0]}")
 
 
+def _file_verdict(name: str, a: bytes, b: bytes) -> str:
+    a, b = a.decode(errors="replace"), b.decode(errors="replace")
+    if a[:1] == b[:1] == "{":
+        pairs = json_pairs(json.loads(a), json.loads(b))
+    elif "," in a.partition("\n")[0]:  # a CSV header
+        pairs = csv_pairs(a, b)
+    else:
+        return name
+    return f"{name} ({deviation(pairs)})"
+
+
 def compare(base: dict, ours: dict) -> str:
+    differ = []
     for name in [*base, *(k for k in ours if k not in base)]:
         if base.get(name) == ours.get(name):
             continue
         if name not in base or name not in ours:
-            return f"differs at {name} (present on one side only)"
-        a, b = base[name].decode(errors="replace"), ours[name].decode(errors="replace")
-        if a[:1] == b[:1] == "{":
-            pairs = json_pairs(json.loads(a), json.loads(b))
-        elif "," in a.partition("\n")[0]:  # a CSV header
-            pairs = csv_pairs(a, b)
+            differ.append(f"{name} (present on one side only)")
         else:
-            return f"differs at {name}"
-        return f"differs at {name} ({deviation(pairs)})"
-    return "identical"
+            differ.append(_file_verdict(name, base[name], ours[name]))
+    return "differs at " + "; ".join(differ) if differ else "identical"
 
 
 def main(argv=None) -> int:
