@@ -551,6 +551,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"maxforms: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # no size cap: the allocator sets the limit, and says what it refused
+        print(f"maxforms: {args.command}: out of memory: {exc}", file=sys.stderr)
+        return 3
     return 1 if args.strict and report.failed else 0
 
 

@@ -574,6 +574,13 @@ class RadialSolve:
     lambdas: np.ndarray
 
 
+def _check_radial(M: int, bc: str):
+    if M < 1:
+        raise ValueError(f"radial cells must be positive, got {M}")
+    if bc not in ("dirichlet", "neumann"):
+        raise ValueError("bc must be 'dirichlet' or 'neumann'")
+
+
 def _radial_operator(angular, M: int, bc: str):
     """The symmetric tridiagonal (diag, off) of the finite-volume radial
     operator with angular term angular / r^2: nu^2 for order nu, or a discrete
@@ -583,10 +590,7 @@ def _radial_operator(angular, M: int, bc: str):
     flux weight so no condition is imposed there.  At r = 1 an odd-reflection
     ghost pins the value, a dropped flux pins the derivative.
     """
-    if M < 1:
-        raise ValueError(f"radial cells must be positive, got {M}")
-    if bc not in ("dirichlet", "neumann"):
-        raise ValueError("bc must be 'dirichlet' or 'neumann'")
+    _check_radial(M, bc)
     h = 1.0 / M
     idx = np.arange(1, M + 1, dtype=float)
     r = (idx - 0.5) * h
@@ -638,18 +642,38 @@ def _merge_orders(count: int, entry) -> list:
     return merged
 
 
+# (angular term, M, bc, j) -> eigenvalue j of that radial operator, for every
+# value drawn so far in the process
+_RADIAL_VALUES = {}
+
+
 def _radial_entries(angular_of, orders, M: int, bc: str):
     """entry(k, j) for the merge: eigenvalue j of the radial operator with
-    angular term angular_of(k), for orders k up to orders.  Each value comes
-    from its own index-selected bisection, so it does not depend on how many
-    are merged."""
-    operator = functools.cache(lambda k: _radial_operator(angular_of(k), M, bc))
+    angular term angular_of(k), for orders k up to orders.
+
+    Each value comes from its own index-selected bisection, so it is canonical:
+    it depends only on its operator and index, not on how many are merged.
+    That lets every value drawn be kept in _RADIAL_VALUES, keyed by
+    (angular term, M, bc, j), as bessel._TABLES keeps the zeros: a hit returns
+    the very float a bisection would, so the table changes no result, only
+    which draws bisect.  One key per value, so threads that fill one operator
+    cannot misalign its indices; a race at worst bisects a value twice and
+    stores the same float.  It holds one float per value ever drawn, at most
+    2 count - 1 new ones per merge.
+    """
+    _check_radial(M, bc)  # before any lookup, so a warm table validates as a cold one
+    operator = functools.cache(lambda angular: _radial_operator(angular, M, bc))
 
     def entry(k, j):
-        if k > orders:
+        if k > orders or j >= M:
             return None
-        diag, off = operator(k)  # validates M and bc on the first draw
-        return _tridiagonal_eigenvalues(diag, off, j, j)[0] if j < M else None
+        angular = angular_of(k)
+        key = (angular, M, bc, j)
+        value = _RADIAL_VALUES.get(key)
+        if value is None:
+            diag, off = operator(angular)
+            value = _RADIAL_VALUES[key] = _tridiagonal_eigenvalues(diag, off, j, j)[0]
+        return value
 
     return entry
 

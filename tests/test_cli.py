@@ -4,6 +4,11 @@ import csv
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,6 +372,26 @@ def test_parser_is_built_once_and_reused(capsys):
     capsys.readouterr()
     code, out = run(["bessel-zeros", "--n", "2", "--count", "2"], capsys)
     assert code == 0 and len(rows_of(out)) == 2
+
+
+def test_a_request_out_of_memory_exits_3_with_one_line():
+    # 1.5 GB of address space, in the child alone: room for the interpreter
+    # and numpy, not for one 3.09 GiB grid component
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxforms.cli",
+         "identities", "--N", "4", "--q", "2", "--cells", "120"],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()  # one line: no traceback
+    # numpy's message names the refused allocation
+    assert line.startswith("maxforms: identities: out of memory: ")
+    assert "3.09 GiB" in line and "(120, 120, 120, 120)" in line
 
 
 def test_malformed_grid_exits_2(capsys):

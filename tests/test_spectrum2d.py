@@ -1,4 +1,7 @@
+import json
 import math
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -7,7 +10,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from maxforms import bessel, spectrum2d
+from maxforms import bessel, cli, spectrum2d
 from maxforms.bessel import eval_j, zeros_j, zeros_jprime
 from maxforms.exterior import codiff, ext_d
 from maxforms.spectrum1d import _tridiagonal_eigenvalues, fd_eigenvalue_closed_form
@@ -433,10 +436,99 @@ def test_lazy_merge_draws_at_most_two_entries_per_value(count, monkeypatch):
     monkeypatch.setattr(spectrum2d, "_tridiagonal_eigenvalues", counted)
     for solve in (lambda: radial_spectrum(64, count, bc="neumann"),
                   lambda: zaremba2d_eigensolve(64, 32, count).lambdas):
+        monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", {})  # count cold draws
         calls.clear()
         assert len(solve()) == count
         assert all(first == last for first, last in calls)
         assert len(calls) <= 2 * count - 1
+
+
+# -- the table of radial values drawn -------------------------------------------
+
+
+def _spectrum(q, M, count):
+    """The eigen2d route of family q on an M x M grid."""
+    if q == 0:
+        return zaremba2d_eigensolve(M, M, count).lambdas
+    return radial_spectrum(M, count, bc="neumann")
+
+
+@pytest.mark.parametrize("M", [16, 17, 256])
+@pytest.mark.parametrize("q", [0, 1])
+def test_a_cold_table_gives_the_warm_values(q, M, monkeypatch):
+    monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", {})
+    # longest first, so that every shorter request is served by lookups alone
+    warm = {count: _spectrum(q, M, count) for count in range(12, 0, -1)}
+    for count in range(1, 13):
+        monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", {})
+        assert np.array_equal(_spectrum(q, M, count), warm[count])
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_fill_order_does_not_change_the_rows(q, monkeypatch, capsys):
+    def rows(modes):
+        assert cli.main(["eigen2d", "--q", str(q), "--modes", str(modes),
+                         "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)["results"]["modes"]
+
+    fresh = {}
+    for modes in (12, 4, 8):
+        monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", {})
+        fresh[modes] = rows(modes)
+    monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", {})
+    assert {modes: rows(modes) for modes in (12, 4, 8)} == fresh
+
+
+def test_a_repeated_spectrum_bisects_nothing(monkeypatch):
+    first = radial_spectrum(256, 12, "neumann")
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:])
+        return _tridiagonal_eigenvalues(*args)
+
+    monkeypatch.setattr(spectrum2d, "_tridiagonal_eigenvalues", counted)
+    assert np.array_equal(radial_spectrum(256, 12, "neumann"), first)
+    assert calls == []
+
+
+def test_a_warm_table_still_validates(monkeypatch):
+    radial_spectrum(16, 12, "neumann")
+    zaremba2d_eigensolve(16, 16, 12)
+    # the entry the robin request would look up, planted so that only the
+    # validation can refuse it
+    table = dict(spectrum2d._RADIAL_VALUES)
+    table[0.25, 16, "robin", 0] = 1.0
+    monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", table)
+    with pytest.raises(ValueError):
+        radial_spectrum(0, 1)
+    with pytest.raises(ValueError):
+        radial_spectrum(16, 1, bc="robin")
+    with pytest.raises(ValueError):
+        zaremba2d_eigensolve(16, 16, 16 * 16 + 1)
+
+
+def test_threads_filling_one_operator_agree_bitwise(monkeypatch):
+    monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", {})
+    alone = radial_spectrum(512, 12, "neumann")
+    monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", {})
+    results = [None] * 4  # more threads than cores, switching often
+
+    def fill(i):
+        results[i] = radial_spectrum(512, 12, "neumann")
+
+    threads = [threading.Thread(target=fill, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(np.array_equal(got, alone) for got in results)
 
 
 def _exact_rayleigh(diag, off, v) -> float:
