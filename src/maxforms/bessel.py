@@ -8,6 +8,14 @@ rho_k = J_(k+1/2) / J_(k-1/2) down from far above the order and multiplies up
 from the larger of the two seeds; ratios cannot overflow, so no order limit is
 needed.
 
+Each route gives a span of orders lo..hi from one pass, and eval_j(n, x) is
+the span n..n.  The upward pass drops each point at the first order above it,
+so no point climbs where the recurrence grows.  The Miller pass starts for the
+top order and keeps one product of ratios per order, multiplied as that
+order's own pass would; the ratio trajectories of different starts merge, in
+floating point, long before the orders kept, so every row of a span is
+bit-identical to eval_j of its order (checked for n <= 200 in the tests).
+
 Zeros come from a sign scan on a pi/8 grid, evaluated as a single array over
 a window that doubles until it holds as many zeros as the table asks for,
 followed by a safeguarded Newton polish of all brackets at once.  The scan
@@ -50,48 +58,88 @@ def _seed_three_half(x):
     return np.sqrt(2.0 / (np.pi * x)) * (np.sin(x) / x - np.cos(x))
 
 
-def _upward(n: int, x: np.ndarray):
-    """(J_(nu-1), J_nu) by upward recurrence from the closed-form seeds,
-    stable for x >= nu."""
-    jm, j = _seed_half(x), _seed_three_half(x)
-    if n == 1:
-        return _seed_minus_half(x), jm
-    for k in range(2, n):
-        # climbing from order k - 1/2 to k + 1/2
+def _upward(lo: int, hi: int, x: np.ndarray, first=None) -> list:
+    """Rows J_(k-1/2)(x) for k = lo..hi (lo >= 0) from one upward pass: the
+    closed forms of orders -1/2, 1/2 and 3/2 seed the three-term recurrence,
+    which is stable at x >= nu.
+
+    Without `first`, every row covers every point, and every point must lie at
+    or above order hi's nu.  With it, x ascends and first[k - lo] is the index
+    of its first point at or above order k's nu: a point leaves the pass at the
+    first order above it, so no point climbs where the recurrence grows, and
+    row k covers a suffix of x that holds x[first[k - lo]:].
+    """
+    if first is None:
+        first = [0] * (hi - lo + 1)
+    start = first[0]
+    xa = x[start:]
+    jm, j = _seed_half(xa), _seed_three_half(xa)  # orders 1/2 and 3/2
+    rows = [_seed_minus_half(xa)] if lo == 0 else []
+    rows += [jm, j][max(lo, 1) - 1:hi]
+    for k in range(2, hi):
+        # climbing from order k - 1/2 to k + 1/2, over the points at or above it
+        if k + 1 > lo and first[k + 1 - lo] > start:
+            cut, start = first[k + 1 - lo] - start, first[k + 1 - lo]
+            xa, jm, j = xa[cut:], jm[cut:], j[cut:]
         nu = k - 0.5
-        jm, j = j, (2.0 * nu / x) * j - jm
-    return jm, j
+        jm, j = j, (2.0 * nu / xa) * j - jm
+        if k + 1 >= lo:
+            rows.append(j)
+    return rows
 
 
-def _miller(n: int, x: np.ndarray):
-    """J_nu by Miller's backward recurrence in ratio form, stable for x < nu."""
-    if n == 1:
-        return _seed_half(x)
-    rho = np.zeros_like(x)
-    tail = np.ones_like(x)  # rho_2 * ... * rho_(n-1)
-    for k in range(n + 20 + math.isqrt(40 * n), 0, -1):
-        rho = x / ((2 * k + 1) - x * rho)  # J_(k+1/2) / J_(k-1/2)
-        if 2 <= k < n:
-            tail *= rho
-    half, three_half = _seed_half(x), _seed_three_half(x)
-    return np.where(np.abs(half) >= np.abs(three_half), half * rho, three_half) * tail
+def _miller(lo: int, hi: int, x: np.ndarray) -> np.ndarray:
+    """Rows J_(k-1/2)(x) for k = lo..hi (lo >= 1) from one pass of Miller's
+    backward recurrence in ratio form, started for the top order; stable for
+    x < nu.  Each order keeps its own product of ratios, multiplied in the
+    order a pass of its own would take, so a row equals that pass's value
+    wherever the two passes' ratios have merged, which happens long before the
+    orders kept."""
+    half = _seed_half(x)
+    rows = np.ones((hi - lo + 1, len(x)))  # row k: rho_2 * ... * rho_(k-1)
+    if hi > 1:
+        rho = np.zeros_like(x)
+        for k in range(hi + 20 + math.isqrt(40 * hi), 0, -1):
+            rho = x / ((2 * k + 1) - x * rho)  # J_(k+1/2) / J_(k-1/2)
+            if 2 <= k < hi:
+                rows[max(k + 1 - lo, 0):] *= rho
+        three_half = _seed_three_half(x)
+        rows *= np.where(np.abs(half) >= np.abs(three_half), half * rho, three_half)
+    if lo == 1:
+        rows[0] = half
+    return rows
+
+
+def _j_span(lo: int, hi: int, x) -> np.ndarray:
+    """J_(k-1/2)(x) for k = lo..hi, shape (hi - lo + 1, *x.shape), for x > 0.
+
+    Each value takes the route of its own order: upward at or above that
+    order's nu, Miller below it.  One pass of each serves the whole span,
+    and every row is bit-identical to eval_j(k, x).
+    """
+    _check_order(lo)
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr <= 0.0):
+        raise ValueError("arguments must be positive")
+    flat = arr.ravel()
+    out = np.empty((hi - lo + 1, flat.size))
+    order = np.argsort(flat)
+    xs = flat[order]
+    # per order, the count of points below its nu: the Miller share of its row
+    first = np.searchsorted(xs, np.arange(lo, hi + 1) - 0.5).tolist()
+    if first[-1]:
+        for row, values, f in zip(out, _miller(lo, hi, xs[:first[-1]]), first):
+            row[order[:f]] = values[:f]
+    if first[0] < flat.size:
+        for row, values, f in zip(out, _upward(lo, hi, xs, first), first):
+            row[order[f:]] = values[len(values) - (flat.size - f):]
+    return out.reshape(hi - lo + 1, *arr.shape)
 
 
 def eval_j(n: int, x):
     """J_(n-1/2)(x) for x > 0, vectorized over x."""
-    _check_order(n)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr <= 0.0):
-        raise ValueError("arguments must be positive")
-    j = np.empty_like(arr)
-    below = arr < n - 0.5
-    if np.any(below):
-        j[below] = _miller(n, arr[below])
-    if not np.all(below):
-        j[~below] = _upward(n, arr[~below])[1]
-    return float(j[0]) if scalar else j
+    j = _j_span(n, n, x)[0]
+    return float(j) if j.ndim == 0 else j
 
 
 @dataclass
@@ -114,7 +162,7 @@ def _with_slope(kind: str, n: int):
     nu = n - 0.5
 
     def f(x):
-        jm, j = _upward(n, x)
+        jm, j = _upward(n - 1, n, x)
         jp = jm - (nu / x) * j
         if kind == "fn":
             return j, jp

@@ -25,6 +25,8 @@ import numpy as np
 from .multiindex import concat_sign, enumerate_ordered, sign_constants
 
 CSV_DIGITS = "{:.12g}"
+# below this many values, np.unique's fixed cost exceeds the formatting it saves
+_SHORT_COLUMN = 32
 
 
 @dataclass
@@ -91,20 +93,27 @@ def _json(report: Report) -> str:
 
 def _column(values) -> list:
     """One CSV column as text: strings as they are, integers with str, floats
-    with CSV_DIGITS."""
+    with CSV_DIGITS.  In a long column each distinct float is formatted once;
+    distinct means a distinct bit pattern, so -0.0 keeps its sign, and nan and
+    inf their text.  A short column is formatted value by value, since finding
+    its distinct values costs more than formatting it."""
     values = np.asarray(values)
     if values.dtype.kind == "U":
         return values.tolist()
     if values.dtype.kind in "iu":
         return list(map(str, values.tolist()))
-    return list(map(CSV_DIGITS.format, values.tolist()))
+    values = np.ascontiguousarray(values, dtype=float)
+    if len(values) < _SHORT_COLUMN:
+        return list(map(CSV_DIGITS.format, values.tolist()))
+    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = list(map(CSV_DIGITS.format, distinct.view(float).tolist()))
+    return [text[i] for i in inverse.tolist()]
 
 
 def _csv(header, columns) -> str:
     # no field holds a comma, a quote or a line break (names, numbers and
     # route or family labels), so none needs quoting
-    rows = [header, *zip(*map(_column, columns))]
-    return "".join(",".join(row) + "\n" for row in rows)
+    return "\n".join([",".join(header), *map(",".join, zip(*map(_column, columns)))]) + "\n"
 
 
 def _emit(path, text: str):
@@ -541,6 +550,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _count(x: float) -> str:
+    """A size to two significant digits: 96, 1.3e7."""
+    if x < 1e4:
+        return f"{x:.0f}"
+    mantissa, exponent = f"{x:.1e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
+def _expand_size(a) -> str:
+    size = f"radial-cells = {_count(a.radial_cells)} floats per distinct radial factor"
+    if a.form:
+        cells = a.radial_cells * a.angular_cells
+        size += f", plus radial-cells*angular-cells = {_count(cells)} trace samples"
+    return size
+
+
+# each subcommand's dominant allocation, as the README gives it, with the
+# request's own numbers; an out-of-memory line names it beside numpy's message,
+# which names only the allocation refused, often the last and smallest
+_DOMINANT_SIZE = {
+    "identities": lambda a: "the stored form's C(N, q)*cells^N values" if a.form else (
+        f"C(N, q)*cells^N = {_count(math.comb(a.N, a.q) * a.cells ** a.N)} "
+        "complex values per form"),
+    "bessel-zeros": lambda a: (f"about 8 (count + 1) = {_count(8 * (a.count + 1))} scan "
+                               "points, doubled until they hold the zeros"),
+    "eigen1d": lambda a: f"a few arrays of grid = {_count(a.grid)} floats",
+    "eigen2d": lambda a: (f"2 M_r = {_count(2 * a.grid[0])} floats per angular order, "
+                          f"for at most modes = {_count(a.modes)} orders"),
+    "dn-fields": lambda a: f"about pi/h^2 = {_count(math.pi / a.h**2)} mesh nodes",
+    "regularity": lambda a: "a fixed shell quadrature, whatever the mode",
+    "expand": _expand_size,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -553,7 +596,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         # no size cap: the allocator sets the limit, and says what it refused
-        print(f"maxforms: {args.command}: out of memory: {exc}", file=sys.stderr)
+        refused = f" ({exc})" if str(exc) else ""
+        print(f"maxforms: {args.command}: out of memory: the request's dominant size is "
+              f"{_DOMINANT_SIZE[args.command](args)}{refused}", file=sys.stderr)
         return 3
     return 1 if args.strict and report.failed else 0
 

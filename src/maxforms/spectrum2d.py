@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import _with_slope, eval_j, zeros_j, zeros_jprime
+from .bessel import _j_span, _with_slope, zeros_j, zeros_jprime
 from .exterior import FieldForm, ScalarField
 from .spectrum1d import _tridiagonal_eigenvalues, analytic_pair, fd_eigenvalue_closed_form
 
@@ -49,11 +49,7 @@ class RadialFactor:
     omega: float = 0.0
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        val = r**self.power
-        if self.order is not None:
-            val = val * eval_j(self.order, self.omega * r)
-        return val
+        return _radial_values([self], r)[self]
 
     def series(self):
         """Ascending series, DLMF 10.2.2: (power, coeff, rounded factors in coeff)."""
@@ -150,7 +146,8 @@ class PolarScalar:
         r = np.asarray(r, dtype=float)
         phi = np.asarray(phi, dtype=float)
         k = len(self.pairs)
-        radial = np.array([R(r) for R, _ in self.pairs]).reshape(k, *r.shape)
+        values = _radial_values([R for R, _ in self.pairs], r)
+        radial = np.array([values[R] for R, _ in self.pairs]).reshape(k, *r.shape)
         angular = np.array([A(phi) for _, A in self.pairs]).reshape(k, *phi.shape)
         # the sum over pairs in one pass: no grid-sized temporary per pair
         return np.einsum("k...,k...->...", radial, angular, dtype=complex)
@@ -238,16 +235,72 @@ class PolarScalar:
         )
 
 
-def _radial_values(scalars, r: np.ndarray) -> dict:
-    """Every distinct radial factor of the scalars, evaluated once on the nodes r."""
-    return {R: R(r) for R in dict.fromkeys(R for ps in scalars for R, _ in ps.pairs)}
+def _factors(scalars) -> list:
+    return [R for ps in scalars for R, _ in ps.pairs]
+
+
+# ((points, omega), (lowest order, rows)) of the last Bessel batch, read as one pair
+_LAST_BATCH = [(None, None)]
+
+
+def _bessel_rows(omega: float, r: np.ndarray, lo: int, hi: int):
+    """(first, rows): rows[k - first] = J_(k-1/2)(omega r) for at least k = lo..hi.
+
+    The last batch is kept, as pullback keeps its rows: a request at the same
+    points and frequency within its span is served from it, and one past it
+    takes a single pass over the union.  Every row equals eval_j, whatever
+    the span, so a hit changes no value; the batch is read and replaced as one
+    pair, so a thread never reads rows under another batch's key.
+    """
+    key = (r.tobytes(), omega)
+    seen, held = _LAST_BATCH[0]
+    if seen == key:
+        first, rows = held
+        if first <= lo and hi < first + len(rows):
+            return held
+        lo, hi = min(lo, first), max(hi, first + len(rows) - 1)
+    rows = _j_span(lo, hi, omega * r)
+    rows.flags.writeable = False  # rows go out as views
+    held = lo, rows
+    _LAST_BATCH[0] = key, held
+    return held
+
+
+def _radial_values(factors, r) -> dict:
+    """Every distinct radial factor, evaluated once on the nodes r (any shape).
+
+    This is the only evaluation of radial factors.  The Bessel factors are
+    grouped by frequency: one span pass per frequency gives the rows of all
+    its orders, shared by every power, and each distinct power of r is taken
+    once.  A factor's value is r^power * J_(order-1/2)(omega r), as those two
+    products, so it does not depend on which factors share its pass.
+    """
+    r = np.asarray(r, dtype=float)
+    flat = r.ravel()
+    factors = dict.fromkeys(factors)
+    spans = {}
+    for R in factors:
+        if R.order is not None:
+            lo, hi = spans.get(R.omega, (R.order, R.order))
+            spans[R.omega] = min(lo, R.order), max(hi, R.order)
+    rows = {omega: _bessel_rows(omega, flat, lo, hi) for omega, (lo, hi) in spans.items()}
+    powers, out = {}, {}
+    for R in factors:
+        if R.power not in powers:
+            powers[R.power] = flat**R.power
+        val = powers[R.power]
+        if R.order is not None:
+            first, J = rows[R.omega]
+            val = val * J[R.order - first]
+        out[R] = val.reshape(r.shape)
+    return out
 
 
 def _on_grid(scalars, r: np.ndarray, phi: np.ndarray):
     """Each scalar on the (r, phi) tensor grid in turn, summed over its pairs as
     PolarScalar.__call__ sums them, from one evaluation of every distinct
     radial factor across the scalars."""
-    radial = _radial_values(scalars, r)
+    radial = _radial_values(_factors(scalars), r)
     for ps in scalars:
         k = len(ps.pairs)
         yield np.einsum("k...,k...->...",
@@ -506,7 +559,7 @@ def extract_coefficients(
     phi = _angular_nodes(M_phi)
     h = HALF_ARC / M_phi
     stored = _FAMILIES[mode.degree]
-    values = _radial_values([mode.parts[part] for _, part, _ in stored], r)
+    values = _radial_values(_factors(mode.parts[part] for _, part, _ in stored), r)
     families = {}
     for letter, part, metric in stored:
         pairs = mode.parts[part].pairs

@@ -4,6 +4,8 @@ import numpy as np
 
 from maxforms.exterior import FieldForm, GridScalar, ScalarField, evaluate
 from maxforms.multiindex import enumerate_ordered
+from maxforms.regularity import _M_PHI
+from maxforms.spectrum2d import HALF_ARC, _angular_nodes, _on_grid
 
 
 def coordinate(axis):
@@ -91,3 +93,13 @@ def grid_max_abs(form, margin=0):
         if vals.size:
             worst = max(worst, float(np.max(np.abs(vals))))
     return worst
+
+
+def grid_ring_energies(partials, r):
+    """Oracle of regularity._ring_energies: per radius, the midpoint rule in
+    angle over each partial sampled on the (r, phi) grid, its squared modulus
+    summed."""
+    rows = np.zeros(len(r))
+    for vals in _on_grid(partials, r, _angular_nodes(_M_PHI)):
+        rows += np.sum(np.abs(vals) ** 2, axis=1)
+    return (HALF_ARC / _M_PHI) * rows

@@ -70,9 +70,42 @@ def test_branch_seam_is_smooth():
 
     for n in (4, 8, 12, 30, 60):
         x = np.array([n - 0.5])
-        assert abs(_miller(n, x)[0] / _upward(n, x)[1][0] - 1.0) < 1e-13
+        assert abs(_miller(n, n, x)[0][0] / _upward(n, n, x)[0][0] - 1.0) < 1e-13
         below = np.nextafter(x, 0.0)
         assert abs(eval_j(n, below)[0] / eval_j(n, x)[0] - 1.0) < 1e-13
+
+
+# top orders of the spans: every order to 44, then sparse up to 200
+_SPAN_TOPS = [*range(1, 45), 60, 80, 100, 140, 200]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("hi", _SPAN_TOPS)
+def test_span_rows_equal_per_order_evaluation(hi):
+    # points at each order's nu and one ulp to either side of it, and random
+    # ones below the lowest order and far above the top one; an upward pass
+    # that ran a point past its own order would overflow and warn
+    rng = np.random.default_rng(hi)
+    nus = np.arange(1, hi + 1) - 0.5
+    x = np.concatenate([nus, np.nextafter(nus, 0.0), np.nextafter(nus, np.inf),
+                        rng.uniform(0.01, 2.5 * hi + 20.0, 60)])
+    for lo in sorted({1, max(1, hi - 4), max(1, hi - 2), hi}):
+        rows = bessel._j_span(lo, hi, x)
+        assert rows.shape == (hi - lo + 1, len(x))
+        for k, row in enumerate(rows, lo):
+            assert np.array_equal(row, eval_j(k, x)), (lo, hi, k)
+
+
+def test_span_keeps_the_shape_of_its_points():
+    x = np.linspace(0.5, 9.0, 12).reshape(3, 4)
+    rows = bessel._j_span(2, 5, x)
+    assert rows.shape == (4, 3, 4)
+    assert np.array_equal(rows[1], eval_j(3, x))
+    assert bessel._j_span(1, 3, np.empty(0)).shape == (3, 0)
+    with pytest.raises(ValueError):
+        bessel._j_span(0, 2, x)
+    with pytest.raises(ValueError):
+        bessel._j_span(1, 2, -x)
 
 
 def test_recurrence_consistency():

@@ -1,5 +1,6 @@
 """Command line front end: formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -392,6 +393,56 @@ def test_a_request_out_of_memory_exits_3_with_one_line():
     # numpy's message names the refused allocation
     assert line.startswith("maxforms: identities: out of memory: ")
     assert "3.09 GiB" in line and "(120, 120, 120, 120)" in line
+    # and beside it, the request's dominant size by the README's formula
+    assert "C(N, q)*cells^N = 1.2e9 complex values per form" in line
+
+
+# one memory-bound request per subcommand, and the dominant size its line names
+_MEMORY_BOUND = [
+    (["identities", "--N", "4", "--q", "2", "--cells", "120"],
+     "C(N, q)*cells^N = 1.2e9 complex values per form"),
+    (["identities", "--form", "a.json"], "the stored form's C(N, q)*cells^N values"),
+    (["bessel-zeros", "--n", "3", "--count", "10000000"],
+     "about 8 (count + 1) = 8.0e7 scan points, doubled until they hold the zeros"),
+    (["eigen1d", "--grid", "100000000"], "a few arrays of grid = 1.0e8 floats"),
+    (["eigen2d", "--grid", "20000000,4", "--modes", "3"],
+     "2 M_r = 4.0e7 floats per angular order, for at most modes = 3 orders"),
+    (["dn-fields", "--arcs", "0:1", "--h", "0.0005"], "about pi/h^2 = 1.3e7 mesh nodes"),
+    (["regularity", "--q", "0", "--n", "1", "--m", "1"],
+     "a fixed shell quadrature, whatever the mode"),
+    (["expand", "--q", "0", "--n", "1", "--m", "1", "--radial-cells", "100000000"],
+     "radial-cells = 1.0e8 floats per distinct radial factor"),
+    (["expand", "--form", "a.json", "--radial-cells", "1000", "--angular-cells", "2000"],
+     "radial-cells = 1000 floats per distinct radial factor, "
+     "plus radial-cells*angular-cells = 2.0e6 trace samples"),
+]
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 1.00 GiB for an array", ""])
+@pytest.mark.parametrize("argv,size", _MEMORY_BOUND)
+def test_out_of_memory_names_the_dominant_size(argv, size, message, capsys, monkeypatch):
+    parser = cli.build_parser()
+
+    def refuse(args):
+        raise MemoryError(message)
+
+    class Refusing:  # the real parser, with a handler that runs out of memory
+        def parse_args(self, argv):
+            return argparse.Namespace(**{**vars(parser.parse_args(argv)), "handler": refuse})
+
+    monkeypatch.setattr(cli, "build_parser", Refusing)
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    refused = f" ({message})" if message else ""
+    assert out == ""
+    assert err == (f"maxforms: {argv[0]}: out of memory: the request's dominant size is "
+                   f"{size}{refused}\n")
+
+
+def test_every_subcommand_names_a_dominant_size():
+    choices = cli.build_parser()._subparsers._group_actions[0].choices
+    assert set(cli._DOMINANT_SIZE) == set(choices)
+    assert {argv[0] for argv, _ in _MEMORY_BOUND} == set(choices)
 
 
 def test_malformed_grid_exits_2(capsys):
@@ -591,3 +642,30 @@ def test_csv_values_carry_twelve_significant_digits(capsys):
     _, out = run(["bessel-zeros", "--n", "1", "--count", "1"], capsys)
     zero = rows_of(out)[0]["zero"]
     assert zero == f"{math.pi:.12g}"
+
+
+_SPECIAL_COLUMNS = [
+    [0.5, 0.5, 0.25, 0.5, 0.25],  # repeats
+    [0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300],  # signed zeros, by bits
+    [math.nan, -math.nan, math.inf, -math.inf, math.nan, 1.0, math.inf],
+    list(np.arange(1, 20) / 7.0),  # all distinct
+]
+
+
+# each column short, and repeated past the length from which distinct values
+# are formatted once
+@pytest.mark.parametrize("column", [
+    *_SPECIAL_COLUMNS,
+    *(column * 9 for column in _SPECIAL_COLUMNS),
+    list(np.tile(np.linspace(0.1, 1.0, 7), 50)),
+    list(np.arange(1, 200) / 7.0),
+    [],
+])
+def test_csv_formats_each_float_as_its_own_value(column):
+    n = len(column)
+    labels = ["a", "b", "a", "c"] * n
+    integers = np.arange(n) % 3
+    text = cli._csv(("label", "k", "x"), (labels[:n], integers, np.array(column)))
+    want = "".join(f"{a},{k},{cli.CSV_DIGITS.format(x)}\n"
+                   for a, k, x in zip(labels, integers.tolist(), column))
+    assert text == "label,k,x\n" + want

@@ -4,8 +4,14 @@ import math
 
 import numpy as np
 
+from formutil import grid_ring_energies
 from maxforms.regularity import (
+    EPS_START,
+    LADDER_RATIO,
+    LEVELS,
     _partials,
+    _ring_energies,
+    _shell_rule,
     classify,
     classify_components,
     expected_verdict,
@@ -234,3 +240,61 @@ def test_sweep_equals_full_accumulation_on_hand_built_fields():
         assert ps.leading_exponent() == accumulated_exponent(ps)
     assert PolarScalar([]).leading_exponent() == math.inf
     assert const.leading_exponent() == 0.0
+
+
+def _shell_radii():
+    s, _ = _shell_rule()
+    return np.outer(EPS_START * LADDER_RATIO ** -np.arange(LEVELS), s).ravel()
+
+
+def assert_rings_match_the_grid(partials, label):
+    """Separable and grid ring energies agree to 1e-13 relative wherever the
+    grid's is a normal double; below that, both lie within the smallest one."""
+    r = _shell_radii()
+    got, want = _ring_energies(partials, r), grid_ring_energies(partials, r)
+    tiny = np.finfo(float).tiny
+    normal = want >= tiny
+    assert np.all(np.abs(got - want)[normal] <= 1e-13 * want[normal]), label
+    assert np.all(np.abs(got - want)[~normal] <= tiny), label
+
+
+def test_separable_rings_equal_the_grid_on_eigenforms():
+    # the form is quadratic, so cancellation between pairs enters squared
+    for q in (0, 1):
+        for role in ("E", "H"):
+            for n in (*range(1, 41), 60, 70):
+                for m in (1, 2, 3, 5, 12):
+                    comps = cartesian_components(analytic_eigenform(q, n, m, role))
+                    assert_rings_match_the_grid(_partials(comps), (q, role, n, m))
+
+
+def pair_scale(partials, r) -> np.ndarray:
+    """Per radius, sum over partials of (sum over pairs of each pair's own
+    ring norm)^2: the size a partial's energy would have without cancellation
+    between its pairs."""
+    return sum(sum(np.sqrt(grid_ring_energies([PolarScalar([pair])], r)) for pair in ps.pairs)
+               ** 2 for ps in partials if ps.pairs)
+
+
+def test_separable_rings_equal_the_grid_on_hand_built_fields():
+    x1 = _polar(1.0, 1.0)
+    const = PolarScalar([(RadialFactor(0.0), AngularPart([AngularTerm(2.0, 0.0, 0.0)]))])
+    fields = [_polar(0.5, 0.5), x1]
+    for omega in (0.3, 3.7, 40.0):
+        for n in (2, 5, 12):
+            fields.append(_polar(0.0, 0.5, n, omega))
+            # identically zero: each route reads roundoff, at its own scale (the
+            # grid's squared, the separable route's relative to the pairs')
+            zero = _partials({(): _recurrence_zero(n, omega)})
+            r = _shell_radii()
+            scale = pair_scale(zero, r)
+            assert np.all(_ring_energies(zero, r) <= 1e-13 * scale), (omega, n)
+            assert np.all(grid_ring_energies(zero, r) <= 1e-13 * scale), (omega, n)
+    for field in fields:
+        assert_rings_match_the_grid(_partials({(): field}), field)
+    # a constant has partials without pairs: exactly zero energy, by both routes
+    for field in (const, PolarScalar([])):
+        partials = _partials({(): field})
+        assert not any(ps.pairs for ps in partials)
+        assert not _ring_energies(partials, _shell_radii()).any()
+        assert not grid_ring_energies(partials, _shell_radii()).any()

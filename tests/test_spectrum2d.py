@@ -113,28 +113,35 @@ def test_polar_scalars_keep_one_angular_sum_per_radial_factor(q, n, m, role):
         assert all(A.terms for _, A in ps.pairs)
 
 
+def counted_passes(monkeypatch) -> list:
+    """(lo, hi, points) of every Bessel span pass spectrum2d makes from here
+    on, starting from an empty batch."""
+    passes = []
+
+    def counted(lo, hi, x):
+        passes.append((lo, hi, np.size(x)))
+        return bessel._j_span(lo, hi, x)
+
+    monkeypatch.setattr(spectrum2d, "_j_span", counted)
+    monkeypatch.setattr(spectrum2d, "_LAST_BATCH", [(None, None)])
+    return passes
+
+
 @pytest.mark.parametrize("label", [(0, 1, 1, "H"), (1, 3, 2, "E")])
-def test_evaluation_calls_eval_j_once_per_bessel_factor(label, monkeypatch):
-    import maxforms.spectrum2d as s2d
-
-    orders = []
-
-    def counted(order, x):
-        orders.append(order)
-        return eval_j(order, x)
-
-    monkeypatch.setattr(s2d, "eval_j", counted)
+def test_evaluation_makes_one_bessel_pass_per_frequency(label, monkeypatch):
+    passes = counted_passes(monkeypatch)
+    n = label[1]
     comps = cartesian_components(analytic_eigenform(*label))
     partials = [ps.cartesian_partial(axis) for ps in comps.values() for axis in (1, 2)]
     r, phi = np.linspace(0.05, 0.95, 7)[:, None], np.linspace(0.1, 3.0, 9)[None, :]
-    assert orders == []  # the normalization takes J from the zero scan's pass
+    assert passes == []  # the normalization takes J from the zero scan's pass
     for ps in comps.values():
         ps(r, phi)
-    assert len(orders) == 4  # J_n / r and J_(n+1) per component
-    orders.clear()
+    assert passes == [(n, n + 1, 7)]  # J_n / r and J_(n+1), shared by both components
     for ps in partials:
         ps(r, phi)
-    assert len(orders) == 12  # J_n / r^2, J_(n+1) / r and J_(n+2) per partial
+    # the partials reach J_(n+2): one pass over the union serves all four
+    assert passes == [(n, n + 1, 7), (n, n + 2, 7)]
 
 
 def test_merged_sum_equals_the_sum_of_its_pieces():
@@ -675,7 +682,7 @@ def two_pass_norm_constant(n, omega):
     pass as omega (J_(nu-1) - (nu / x) J_nu), divided by omega again."""
     nu = n - 0.5
     j = eval_j(n, omega)
-    jm, jn = bessel._upward(n, np.array([omega]))
+    jm, jn = bessel._upward(n - 1, n, np.array([omega]))
     jp = float(omega * (jm - (nu / omega) * jn)[0]) / omega
     return 1.0 / math.sqrt((math.pi / 2.0) * 0.5 * (jp**2 + (1.0 - nu**2 / omega**2) * j**2))
 
@@ -714,24 +721,77 @@ def test_normalization_matches_the_two_pass_route():
 def test_each_distinct_radial_factor_is_evaluated_once_per_node_set(monkeypatch):
     from maxforms.regularity import classify
 
-    calls = []
-
-    def counted(order, x):
-        calls.append(order)
-        return eval_j(order, x)
-
-    monkeypatch.setattr(spectrum2d, "eval_j", counted)
+    passes = counted_passes(monkeypatch)
     for q in (0, 1):
         for role in ("E", "H"):
             modes = [analytic_eigenform(q, n, m, role) for _, n, m, _ in reference_modes(q, 6)]
-            assert calls == []  # construction evaluates no factor
+            assert passes == []  # construction evaluates no factor
             gram_matrix_2d(modes)
-            distinct = {R for mode in modes for ps in mode.parts.values() for R, _ in ps.pairs}
-            assert len(calls) == len(distinct)
-            calls.clear()
+            # one pass per frequency, each over the one node set
+            assert len(passes) == len({mode.omega for mode in modes}) == 6
+            assert len({size for _, _, size in passes}) == 1
+            passes.clear()
     for q, n, m, role in ((0, 1, 1, "H"), (0, 3, 2, "H"), (1, 2, 1, "E"), (1, 4, 3, "E")):
         extract_coefficients(analytic_eigenform(q, n, m, role), range(1, 9))
-        assert len(calls) == 2  # J_n / r in both parts, J_(n+1) in one
-        calls.clear()
+        assert passes == [(n, n + 1, 200)]  # J_n / r in both parts, J_(n+1) in one
+        passes.clear()
     classify(0, 2, 2, "H")
-    assert len(calls) == 3
+    assert passes == [(2, 4, 144)]  # every partial, all six shells
+    passes.clear()
+    for q in (0, 1):
+        for n, m in ((1, 1), (2, 3), (7, 2)):
+            maxwell_residual_2d(q, n, m, samples=24)
+            assert 1 <= len(passes) <= 2, (q, n, m)  # 15 at one pass per factor evaluation
+            passes.clear()
+
+
+def factor_values(R: RadialFactor, r) -> np.ndarray:
+    """Oracle of one radial factor: r^power times eval_j of its own order."""
+    val = np.asarray(r, dtype=float) ** R.power
+    return val if R.order is None else val * eval_j(R.order, R.omega * np.asarray(r))
+
+
+_BATCH_LABELS = [(0, 1, 1, "H"), (0, 4, 3, "E"), (1, 2, 1, "E"), (1, 9, 2, "H")]
+
+
+def test_cold_and_warm_batches_give_equal_values(monkeypatch):
+    r, phi = np.linspace(0.02, 0.98, 13)[:, None], np.linspace(0.1, 3.0, 5)[None, :]
+    for label in _BATCH_LABELS:
+        scalars = _built_scalars(analytic_eigenform(*label))
+        warm = [ps(r, phi) for ps in scalars]  # one batch serves all but the first
+        for ps, want in zip(scalars, warm):
+            monkeypatch.setattr(spectrum2d, "_LAST_BATCH", [(None, None)])
+            assert np.array_equal(ps(r, phi), want), label
+            for R, _ in ps.pairs:
+                assert np.array_equal(R(r), factor_values(R, r)), (label, R)
+
+
+def test_threads_sharing_one_point_set_agree_bitwise(monkeypatch):
+    points = np.random.default_rng(5).uniform(0.05, 0.95, (2, 40))
+    fields = [to_field_form(analytic_eigenform(*label)) for label in _BATCH_LABELS]
+
+    def evaluate_all(form):
+        # every component and Cartesian partial, many times over one point set
+        return [[f(points) for f in (c, c.partial(1), c.partial(2))] * 3
+                for c in form.components.values()]
+
+    alone = [evaluate_all(form) for form in fields]
+    monkeypatch.setattr(spectrum2d, "_LAST_BATCH", [(None, None)])
+    results = [None] * len(fields)  # more threads than cores, switching often
+
+    def work(i):
+        results[i] = evaluate_all(fields[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fields))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, alone):
+        assert all(np.array_equal(a, b) for gs, ws in zip(got, want) for a, b in zip(gs, ws))

@@ -47,9 +47,14 @@ REQUESTS = {
     "regularity-large": [["regularity", "--q", "1", "--n", "8", "--m", "12", "--field", "H"]],
     # the longest exponent sweep; no shell is representable, so the slope is null
     "regularity-n140": [["regularity", "--q", "0", "--n", "140", "--m", "1"]],
+    # Bessel spans at high orders: every shell of order 40 lies below its nu,
+    # so on Miller's route; order 12's factors cross their nu inside the disk
+    "regularity-n40": [["regularity", "--q", "1", "--n", "40", "--m", "3", "--field", "E"]],
     "expand": [["expand", "--q", "0", "--n", "1", "--m", "1"]],
     "expand-large": [["expand", "--q", "1", "--n", "2", "--m", "1", "--radial-cells", "400",
                       "--orders", "1,2,3,4,5,6,7,8"]],
+    "expand-high-orders": [["expand", "--q", "1", "--n", "12", "--m", "4", "--field", "H",
+                            "--orders", "10,11,12,13,14"]],
     # orders past the requested angular cells: the node count is raised to an exact one
     "expand-aliasing": [["expand", "--q", "0", "--n", "5", "--m", "1", "--orders", "1,2,5",
                          "--angular-cells", "2", "--radial-cells", "3", "--format", "json"]],
