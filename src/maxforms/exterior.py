@@ -20,6 +20,14 @@ index table of `multiindex`.  A degree outside 0..N has no indices, so the
 result of an operator keeps the degree it computes (a wedge past N has degree
 p + r) with no components, and a coefficient with no terms is zero in the
 operands' representation.
+
+Callable operations build an expression tree of slotted nodes (sum, product,
+complex scaling, constant, harmonic wave, pullback coefficient), each one
+object whose evaluation and derivative rule are methods of its class, so
+building a form allocates few objects for the cyclic garbage collector and
+creates no reference cycles.  Grid sums accumulate in place: the first term's
+new array takes each later term, written into one spare array per operation,
+by an add or a subtract, with values equal to those of summing signed copies.
 """
 
 from __future__ import annotations
@@ -48,10 +56,18 @@ _FD_STEP = 1e-6
 class ScalarField:
     """Complex scalar field with batch evaluation and partial derivatives.
 
+    `ScalarField(fn, partial_rule)` is a leaf around a user callable.
     `partial_rule(axis)` must return the derivative `ScalarField`; rules are
     composed exactly through sums and products, so analytic derivative chains
     of any depth are available when the leaves provide them.  Leaves without a
     rule fall back to central differences.
+
+    The algebra builds expression nodes: subclasses whose `fn` and
+    `partial_rule` are methods of the class, not closures, so a node is one
+    object holding its operands (the leaf slots of those names stay empty in a
+    node).  Each node evaluates its operands' `fn` in the order the closures
+    did, so values do not depend on the representation.  The partial cache is
+    made on first use.
     """
 
     __slots__ = ("fn", "partial_rule", "_cache")
@@ -59,19 +75,20 @@ class ScalarField:
     def __init__(self, fn, partial_rule=None):
         self.fn = fn
         self.partial_rule = partial_rule
-        self._cache = {}
+        self._cache = None
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
     def partial(self, axis: int) -> "ScalarField":
-        if axis in self._cache:
-            return self._cache[axis]
-        if self.partial_rule is not None:
-            out = self.partial_rule(axis)
-        else:
-            out = _central_difference(self, axis)
-        self._cache[axis] = out
+        cache = self._cache
+        if cache is None:
+            cache = self._cache = {}
+        elif axis in cache:
+            return cache[axis]
+        rule = self.partial_rule
+        out = rule(axis) if rule is not None else _central_difference(self, axis)
+        cache[axis] = out
         return out
 
     def zero_like(self) -> "ScalarField":
@@ -82,10 +99,7 @@ class ScalarField:
     def __add__(self, other):
         if not isinstance(other, ScalarField):
             return NotImplemented
-        return ScalarField(
-            lambda x: self.fn(x) + other.fn(x),
-            lambda axis: self.partial(axis) + other.partial(axis),
-        )
+        return _Sum(self, other)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -95,14 +109,11 @@ class ScalarField:
 
     def __mul__(self, other):
         if isinstance(other, ScalarField):
-            return ScalarField(
-                lambda x: self.fn(x) * other.fn(x),
-                lambda axis: self.partial(axis) * other + self * other.partial(axis),
-            )
+            return _Product(self, other)
         c = complex(other)
         if c == 1.0:  # most signs in hodge, ext_d and the transforms are +1
             return self
-        return ScalarField(lambda x: c * self.fn(x), lambda axis: c * self.partial(axis))
+        return _Scaled(c, self)
 
     __rmul__ = __mul__
 
@@ -110,8 +121,7 @@ class ScalarField:
 
     @staticmethod
     def constant(c):
-        c = complex(c)
-        return ScalarField(lambda x: c, lambda axis: ScalarField.constant(0.0))
+        return _Constant(complex(c))
 
     @staticmethod
     def harmonic(freqs, phase=0.0, amp=1.0):
@@ -120,18 +130,89 @@ class ScalarField:
         The dot product is summed axis by axis, so a batch rounds as its points do.
         """
         k = np.asarray(freqs, dtype=float)
-        a = complex(amp)
-        terms = [(i, float(c)) for i, c in enumerate(k) if c]
+        return _Harmonic(k, tuple((i, float(c)) for i, c in enumerate(k) if c), phase, amp)
 
-        def fn(x):
-            arg = phase
-            for i, c in terms:
-                arg = arg + c * x[i]
-            return a * np.cos(arg)
 
-        return ScalarField(
-            fn, lambda axis: ScalarField.harmonic(k, phase + np.pi / 2.0, a * k[axis - 1])
-        )
+class _Pair(ScalarField):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+        self._cache = None
+
+
+class _Sum(_Pair):
+    __slots__ = ()
+
+    def fn(self, x):
+        return self.left.fn(x) + self.right.fn(x)
+
+    def partial_rule(self, axis):
+        return self.left.partial(axis) + self.right.partial(axis)
+
+
+class _Product(_Pair):
+    __slots__ = ()
+
+    def fn(self, x):
+        return self.left.fn(x) * self.right.fn(x)
+
+    def partial_rule(self, axis):
+        return self.left.partial(axis) * self.right + self.left * self.right.partial(axis)
+
+
+class _Scaled(ScalarField):
+    __slots__ = ("c", "field")
+
+    def __init__(self, c, field):
+        self.c = c
+        self.field = field
+        self._cache = None
+
+    def fn(self, x):
+        return self.c * self.field.fn(x)
+
+    def partial_rule(self, axis):
+        return self.c * self.field.partial(axis)
+
+
+class _Constant(ScalarField):
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = c
+        self._cache = None
+
+    def fn(self, x):
+        return self.c
+
+    def partial_rule(self, axis):
+        return _Constant(0j)
+
+
+class _Harmonic(ScalarField):
+    """amp * cos(k . x + phase); `terms` holds (axis, frequency) for k's nonzeros,
+    shared with every derivative."""
+
+    __slots__ = ("k", "terms", "phase", "amp")
+
+    def __init__(self, k, terms, phase, amp):
+        self.k = k
+        self.terms = terms
+        self.phase = phase
+        self.amp = complex(amp)
+        self._cache = None
+
+    def fn(self, x):
+        arg = self.phase
+        for i, c in self.terms:
+            arg = arg + c * x[i]
+        return self.amp * np.cos(arg)
+
+    def partial_rule(self, axis):
+        return _Harmonic(self.k, self.terms, self.phase + np.pi / 2.0,
+                         self.amp * self.k[axis - 1])
 
 
 def _central_difference(f: ScalarField, axis: int) -> ScalarField:
@@ -175,10 +256,12 @@ class GridScalar:
             origin = (0.0,) * values.ndim
         self.grid = GridSpec(tuple(values.shape), spacing, tuple(origin))
 
-    def partial(self, axis: int) -> "GridScalar":
+    def partial(self, axis: int, out=None) -> "GridScalar":
+        """Forward difference along `axis`, written into `out` when given (an
+        array of the values' shape and dtype, which the result then holds)."""
         v = self.values
         head = (slice(None),) * (axis - 1)
-        diff = np.empty(v.shape, v.dtype)
+        diff = np.empty(v.shape, v.dtype) if out is None else out
         # forward neighbour minus self, the last slice wrapping to the first
         np.subtract(v[head + (slice(1, None),)], v[head + (slice(None, -1),)],
                     out=diff[head + (slice(None, -1),)])
@@ -316,16 +399,56 @@ def evaluate(form: FieldForm, x) -> dict:
     return {k: complex(v(x)) for k, v in form.components.items()}
 
 
+def _partial(f, axis, out=None):
+    """The partial of a coefficient; a grid one is written into `out` if given."""
+    return f.partial(axis) if out is None else f.partial(axis, out)
+
+
+def _product(f, g, out=None):
+    """The product of two coefficients; a grid one is written into `out` if given."""
+    if out is None:
+        return f * g
+    f._check_compatible(g)
+    return GridScalar(np.multiply(f.values, g.values, out=out), f.grid.spacing, f.grid.origin)
+
+
 def _sum_table(N: int, q: int, table, term, *operands: FieldForm) -> FieldForm:
-    """The degree-q form whose component K sums `term(*entry)` over K's table
-    entries from left to right; an empty sum is zero in the operands' representation."""
-    zero = next((v.zero_like for f in operands for v in f.components.values()),
-                functools.partial(ScalarField.constant, 0.0))
+    """The degree-q form whose component K sums `sign * kernel(x, y)` over K's
+    table entries from left to right, where `term(*entry)` gives
+    (sign, kernel, x, y) and every sign is +1 or -1; an empty sum is zero in the
+    operands' representation.
+
+    Grid components of one dtype are summed in place: the first term's array,
+    made by its kernel, is the accumulator, and each later term is written into
+    one spare array of the call and goes in by np.add or np.subtract with
+    `out=`.  Since x - y is x + (-y) exactly, the values equal those of the
+    out-of-place sum, without its negated copies; operands are never written.
+    """
+    fields = [v for f in operands for v in f.components.values()]
+    zero = fields[0].zero_like if fields else functools.partial(ScalarField.constant, 0.0)
+    in_place = (bool(fields) and isinstance(fields[0], GridScalar)
+                and len({v.values.dtype for v in fields}) == 1)
+    spare = None
     out = {}
     for K, entries in table:
-        terms = (term(*entry) for entry in entries)
-        first = next(terms, None)
-        out[K] = zero() if first is None else functools.reduce(operator.add, terms, first)
+        terms = [term(*entry) for entry in entries]
+        if not terms:
+            out[K] = zero()
+        elif not in_place:
+            out[K] = functools.reduce(operator.add, (sign * kernel(x, y)
+                                                     for sign, kernel, x, y in terms))
+        else:
+            (sign, kernel, x, y), *rest = terms
+            acc = kernel(x, y)
+            if sign == -1:
+                np.negative(acc.values, out=acc.values)
+            for sign, kernel, x, y in rest:
+                acc._check_compatible(x)
+                if spare is None or spare.shape != acc.values.shape:
+                    spare = np.empty_like(acc.values)
+                kernel(x, y, spare)
+                (np.add if sign == 1 else np.subtract)(acc.values, spare, out=acc.values)
+            out[K] = acc
     return FieldForm(N, q, out)
 
 
@@ -336,7 +459,8 @@ def wedge(a: FieldForm, b: FieldForm) -> FieldForm:
     if len({a.kind, b.kind} - {"empty"}) > 1:
         raise ValueError("cannot wedge callable with grid representation")
     return _sum_table(a.N, a.q + b.q, wedge_table(a.q, b.q, a.N),
-                      lambda I, J, sign: sign * (a.components[I] * b.components[J]), a, b)
+                      lambda I, J, sign: (sign, _product, a.components[I], b.components[J]),
+                      a, b)
 
 
 def hodge(a: FieldForm) -> FieldForm:
@@ -348,7 +472,7 @@ def hodge(a: FieldForm) -> FieldForm:
 def ext_d(a: FieldForm) -> FieldForm:
     """Exterior derivative."""
     return _sum_table(a.N, a.q + 1, derivative_table(a.q, a.N),
-                      lambda lower, j, sign: sign * a.components[lower].partial(j), a)
+                      lambda lower, j, sign: (sign, _partial, a.components[lower], j), a)
 
 
 def codiff(a: FieldForm) -> FieldForm:
@@ -362,7 +486,7 @@ def codiff_expansion(a: FieldForm) -> FieldForm:
     Kept as an independent route; tests require it to agree with `codiff`.
     """
     return _sum_table(a.N, a.q - 1, codiff_table(a.q, a.N),
-                      lambda upper, j, sign: sign * a.components[upper].partial(j), a)
+                      lambda upper, j, sign: (sign, _partial, a.components[upper], j), a)
 
 
 @dataclass
@@ -420,6 +544,71 @@ def _compound(J: np.ndarray, q: int) -> np.ndarray:
     return np.linalg.det(np.moveaxis(blocks, (2, 3), (-2, -1)))
 
 
+class _Pullback:
+    """The shared evaluator of one pullback: the compound of the Jacobian
+    contracted with all components of `a`, kept for the last point batch."""
+
+    __slots__ = ("tau", "a", "fixed", "last", "chained")
+
+    def __init__(self, tau, a, fixed):
+        self.tau = tau
+        self.a = a
+        self.fixed = fixed  # M[K, I], K over target indices; None along a curved map
+        self.last = (None, None)  # (key, coefficient rows) of the last batch, read as one pair
+        self.chained = {}
+
+    def rows(self, v):
+        key = (v.shape, v.tobytes())
+        seen, out = self.last
+        if seen != key:
+            a, tau = self.a, self.tau
+            y = tau(v)
+            vals = np.empty((len(a.components),) + v.shape[1:], dtype=complex)
+            for k, f in enumerate(a.components.values()):
+                vals[k] = f(y)
+            M = self.fixed
+            if M is None:
+                M = _compound(np.swapaxes(tau.jac(v), 0, 1), a.q)
+            M = M.reshape(M.shape + (1,) * (vals.ndim + 1 - M.ndim))
+            out = (M * vals[:, None]).sum(axis=0)  # over K in one order, batch or point
+            out.flags.writeable = False  # rows go out as views
+            self.last = key, out
+        return out
+
+    def partial(self, j) -> FieldForm:
+        """d/dv_j a(tau(v)) = sum_l J[j, l] (d_l a)(tau(v)), along an affine map."""
+        form = self.chained.get(j)
+        if form is None:
+            J = self.tau.constant_jacobian
+            form = self.chained[j] = pullback(self.tau, self.a.map_components(
+                lambda f: functools.reduce(operator.add, (float(c) * f.partial(l)
+                                                          for l, c in enumerate(J[j - 1], 1)))))
+        return form
+
+
+class _PullbackCoefficient(ScalarField):
+    """Coefficient I (row i) of a pullback; along a curved map it has no rule."""
+
+    __slots__ = ("pull", "i", "I")
+    partial_rule = None
+
+    def __init__(self, pull, i, I):
+        self.pull = pull
+        self.i = i
+        self.I = I
+        self._cache = None
+
+    def fn(self, v):
+        return self.pull.rows(v)[self.i]
+
+
+class _AffinePullbackCoefficient(_PullbackCoefficient):
+    __slots__ = ()
+
+    def partial_rule(self, j):
+        return self.pull.partial(j).components[self.I]
+
+
 def pullback(tau: SmoothMap, a: FieldForm) -> FieldForm:
     """Pullback along tau: coefficient I is sum_K minor(I, K) a_K(tau(v)).
 
@@ -437,34 +626,10 @@ def pullback(tau: SmoothMap, a: FieldForm) -> FieldForm:
     if not 0 <= q <= N_src:
         return FieldForm(N_src, q, {})
     J = tau.constant_jacobian
-    fixed = None if J is None else _compound(J.T, q)  # M[K, I], K over target indices
-    last = [(None, None)]  # (key, coefficient rows) of the last batch, read as one pair
-
-    def rows(v):
-        key = (v.shape, v.tobytes())
-        seen, out = last[0]
-        if seen != key:
-            y = tau(v)
-            vals = np.empty((len(a.components),) + v.shape[1:], dtype=complex)
-            for k, f in enumerate(a.components.values()):
-                vals[k] = f(y)
-            M = fixed if J is not None else _compound(np.swapaxes(tau.jac(v), 0, 1), q)
-            M = M.reshape(M.shape + (1,) * (vals.ndim + 1 - M.ndim))
-            out = (M * vals[:, None]).sum(axis=0)  # over K in one order, batch or point
-            out.flags.writeable = False  # rows go out as views
-            last[0] = key, out
-        return out
-
-    @functools.cache
-    def chained(j):  # d/dv_j a(tau(v)) = sum_l J[j, l] (d_l a)(tau(v))
-        return pullback(tau, a.map_components(lambda f: functools.reduce(
-            ScalarField.__add__, (float(c) * f.partial(l) for l, c in enumerate(J[j - 1], 1)))))
-
-    out = {}
-    for i, I in enumerate(enumerate_ordered(q, N_src)):
-        rule = None if J is None else (lambda j, I=I: chained(j).components[I])
-        out[I] = ScalarField(lambda v, i=i: rows(v)[i], rule)
-    return FieldForm(N_src, q, out)
+    pull = _Pullback(tau, a, None if J is None else _compound(J.T, q))
+    node = _PullbackCoefficient if J is None else _AffinePullbackCoefficient
+    return FieldForm(N_src, q, {I: node(pull, i, I)
+                                for i, I in enumerate(enumerate_ordered(q, N_src))})
 
 
 _PROBE_OFFSETS = (0.0, 0.37, -0.29)

@@ -229,10 +229,24 @@ class PolarScalar:
         return math.inf
 
     def to_scalar_field(self) -> ScalarField:
-        return ScalarField(
-            lambda x: self(np.hypot(x[0], x[1]), np.arctan2(x[1], x[0]))[()],
-            lambda axis: self.cartesian_partial(axis).to_scalar_field(),
-        )
+        return _CartesianField(self)
+
+
+class _CartesianField(ScalarField):
+    """A `PolarScalar` as a field of Cartesian points (x, y), one node of the
+    exterior algebra; its partials are the Cartesian partials."""
+
+    __slots__ = ("polar",)
+
+    def __init__(self, polar: PolarScalar):
+        self.polar = polar
+        self._cache = None
+
+    def fn(self, x):
+        return self.polar(np.hypot(x[0], x[1]), np.arctan2(x[1], x[0]))[()]
+
+    def partial_rule(self, axis):
+        return _CartesianField(self.polar.cartesian_partial(axis))
 
 
 def _factors(scalars) -> list:

@@ -1,9 +1,19 @@
-"""Shared builders for random test forms and residual measurement."""
+"""Shared builders for random test forms, residual measurement, and the
+out-of-place oracles of the exterior operators."""
+
+import functools
+import operator
 
 import numpy as np
 
-from maxforms.exterior import FieldForm, GridScalar, ScalarField, evaluate
-from maxforms.multiindex import enumerate_ordered
+from maxforms.exterior import FieldForm, GridScalar, ScalarField, evaluate, hodge
+from maxforms.multiindex import (
+    codiff_table,
+    derivative_table,
+    enumerate_ordered,
+    sign_constants,
+    wedge_table,
+)
 from maxforms.regularity import _M_PHI
 from maxforms.spectrum2d import HALF_ARC, _angular_nodes, _on_grid
 
@@ -24,23 +34,84 @@ def radial_power(exponent):
     )
 
 
-def random_scalar_field(N, rng, n_terms=2, max_freq=2):
+def random_scalar_field(N, rng, n_terms=2, max_freq=2, field=ScalarField):
     """Sum of harmonic waves with integer frequencies; derivatives exact to any order."""
     f = None
     for _ in range(n_terms):
         freqs = rng.integers(-max_freq, max_freq + 1, N)
         amp = rng.normal() + 1j * rng.normal()
-        term = ScalarField.harmonic(freqs, rng.uniform(0.0, 2.0 * np.pi), amp)
+        term = field.harmonic(freqs, rng.uniform(0.0, 2.0 * np.pi), amp)
         f = term if f is None else f + term
     return f
 
 
-def random_callable_form(N, q, rng, n_terms=2, max_freq=2):
+def random_callable_form(N, q, rng, n_terms=2, max_freq=2, field=ScalarField):
+    """`field=ClosurePairField` draws the same form from the same generator
+    state, in the closure-pair algebra."""
     comps = {
-        I: random_scalar_field(N, rng, n_terms, max_freq)
+        I: random_scalar_field(N, rng, n_terms, max_freq, field)
         for I in enumerate_ordered(q, N)
     }
     return FieldForm.from_callable(N, q, comps)
+
+
+class ClosurePairField(ScalarField):
+    """Oracle of the node algebra: every sum, product, scaling, constant and
+    harmonic is a leaf holding two closures (its `fn` and its `partial_rule`)
+    and an eager partial cache, so an expression costs about eight objects the
+    cyclic collector tracks per node, where a node costs one."""
+
+    __slots__ = ()
+
+    def __init__(self, fn, partial_rule=None):
+        self.fn = fn
+        self.partial_rule = partial_rule
+        self._cache = {}
+
+    def zero_like(self):
+        return ClosurePairField.constant(0.0)
+
+    def __add__(self, other):
+        if not isinstance(other, ScalarField):
+            return NotImplemented
+        return ClosurePairField(
+            lambda x: self.fn(x) + other.fn(x),
+            lambda axis: self.partial(axis) + other.partial(axis),
+        )
+
+    def __mul__(self, other):
+        if isinstance(other, ScalarField):
+            return ClosurePairField(
+                lambda x: self.fn(x) * other.fn(x),
+                lambda axis: self.partial(axis) * other + self * other.partial(axis),
+            )
+        c = complex(other)
+        if c == 1.0:
+            return self
+        return ClosurePairField(lambda x: c * self.fn(x), lambda axis: c * self.partial(axis))
+
+    __rmul__ = __mul__
+
+    @staticmethod
+    def constant(c):
+        c = complex(c)
+        return ClosurePairField(lambda x: c, lambda axis: ClosurePairField.constant(0.0))
+
+    @staticmethod
+    def harmonic(freqs, phase=0.0, amp=1.0):
+        k = np.asarray(freqs, dtype=float)
+        a = complex(amp)
+        terms = [(i, float(c)) for i, c in enumerate(k) if c]
+
+        def fn(x):
+            arg = phase
+            for i, c in terms:
+                arg = arg + c * x[i]
+            return a * np.cos(arg)
+
+        return ClosurePairField(
+            fn, lambda axis: ClosurePairField.harmonic(k, phase + np.pi / 2.0, a * k[axis - 1])
+        )
 
 
 def random_grid_form(N, q, rng, shape=None, spacing=None, integer=False):
@@ -103,3 +174,39 @@ def grid_ring_energies(partials, r):
     for vals in _on_grid(partials, r, _angular_nodes(_M_PHI)):
         rows += np.sum(np.abs(vals) ** 2, axis=1)
     return (HALF_ARC / _M_PHI) * rows
+
+
+# -- the out-of-place grid route -------------------------------------------
+#
+# Every term is signed as `sign * x` (a negated copy for -1) and the terms are
+# summed left to right by `+`, one new array per step.  The operators sum in
+# place and must agree with these entry for entry.
+
+
+def out_of_place_sum(N, q, table, term, *operands):
+    zero = next(v.zero_like for f in operands for v in f.components.values())
+    out = {}
+    for K, entries in table:
+        terms = [term(*entry) for entry in entries]
+        out[K] = functools.reduce(operator.add, terms) if terms else zero()
+    return FieldForm(N, q, out)
+
+
+def out_of_place_ext_d(a):
+    return out_of_place_sum(a.N, a.q + 1, derivative_table(a.q, a.N),
+                            lambda lower, j, sign: sign * a.components[lower].partial(j), a)
+
+
+def out_of_place_codiff(a):
+    return sign_constants(a.q, a.N).codiff_sign * hodge(out_of_place_ext_d(hodge(a)))
+
+
+def out_of_place_codiff_expansion(a):
+    return out_of_place_sum(a.N, a.q - 1, codiff_table(a.q, a.N),
+                            lambda upper, j, sign: sign * a.components[upper].partial(j), a)
+
+
+def out_of_place_wedge(a, b):
+    return out_of_place_sum(a.N, a.q + b.q, wedge_table(a.q, b.q, a.N),
+                            lambda I, J, sign: sign * (a.components[I] * b.components[J]),
+                            a, b)

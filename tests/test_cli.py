@@ -212,6 +212,26 @@ def test_generated_grid_form_serializes_as_the_summed_draws(N, q, cells, seed):
             == exterior.grid_form_to_json(expected))
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_difference_max_equals_the_max_of_the_difference_form(sign):
+    # float values at a non-dyadic spacing, so no difference is exactly zero; a
+    # NaN in a later component and an infinity in another keep their effect
+    rng = np.random.default_rng(11)
+    shape, spacing = (5, 4, 3), (0.1, 0.3, 0.7)
+
+    def form():
+        comps = {k: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                 for k in cli.enumerate_ordered(1, 3)}
+        return exterior.FieldForm.from_grid(3, 1, comps, spacing)
+
+    X, Y = form(), form()
+    assert cli._difference_max(X, Y, sign) == cli._form_max(X - sign * Y)
+    X.components[(2,)].values[1, 2, 0] = np.nan
+    Y.components[(3,)].values[0, 0, 2] = np.inf
+    got, want = cli._difference_max(X, Y, sign), cli._form_max(X - sign * Y)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 def test_identities_checks_stored_forms_on_any_grid(tmp_path, capsys):
     # the partner 1-form of the wedge check is drawn on the stored form's grid
     rng = np.random.default_rng(3)
