@@ -548,14 +548,14 @@ class _Pullback:
     """The shared evaluator of one pullback: the compound of the Jacobian
     contracted with all components of `a`, kept for the last point batch."""
 
-    __slots__ = ("tau", "a", "fixed", "last", "chained")
+    __slots__ = ("tau", "a", "fixed", "last", "partials")
 
     def __init__(self, tau, a, fixed):
         self.tau = tau
         self.a = a
         self.fixed = fixed  # M[K, I], K over target indices; None along a curved map
         self.last = (None, None)  # (key, coefficient rows) of the last batch, read as one pair
-        self.chained = {}
+        self.partials = {}  # source axis -> pullback of the chain-ruled partials
 
     def rows(self, v):
         key = (v.shape, v.tobytes())
@@ -575,12 +575,12 @@ class _Pullback:
             self.last = key, out
         return out
 
-    def partial(self, j) -> FieldForm:
+    def chained(self, j) -> FieldForm:
         """d/dv_j a(tau(v)) = sum_l J[j, l] (d_l a)(tau(v)), along an affine map."""
-        form = self.chained.get(j)
+        form = self.partials.get(j)
         if form is None:
             J = self.tau.constant_jacobian
-            form = self.chained[j] = pullback(self.tau, self.a.map_components(
+            form = self.partials[j] = pullback(self.tau, self.a.map_components(
                 lambda f: functools.reduce(operator.add, (float(c) * f.partial(l)
                                                           for l, c in enumerate(J[j - 1], 1)))))
         return form
@@ -606,7 +606,7 @@ class _AffinePullbackCoefficient(_PullbackCoefficient):
     __slots__ = ()
 
     def partial_rule(self, j):
-        return self.pull.partial(j).components[self.I]
+        return self.pull.chained(j).components[self.I]
 
 
 def pullback(tau: SmoothMap, a: FieldForm) -> FieldForm:
