@@ -465,8 +465,13 @@ def wedge(a: FieldForm, b: FieldForm) -> FieldForm:
 
 def hodge(a: FieldForm) -> FieldForm:
     """Hodge star: coefficient I goes to the complementary index with a split sign."""
-    return FieldForm(a.N, a.N - a.q,
-                     {Ic: sign * a.components[I] for Ic, I, sign in hodge_table(a.q, a.N)})
+    return _signed_hodge(a, 1)
+
+
+def _signed_hodge(a: FieldForm, prefactor: int) -> FieldForm:
+    """prefactor (+1 or -1) times the Hodge star, each coefficient scaled once."""
+    return FieldForm(a.N, a.N - a.q, {Ic: (prefactor * sign) * a.components[I]
+                                      for Ic, I, sign in hodge_table(a.q, a.N)})
 
 
 def ext_d(a: FieldForm) -> FieldForm:
@@ -476,8 +481,12 @@ def ext_d(a: FieldForm) -> FieldForm:
 
 
 def codiff(a: FieldForm) -> FieldForm:
-    """Codifferential via its star-derivative-star definition."""
-    return sign_constants(a.q, a.N).codiff_sign * hodge(ext_d(hodge(a)))
+    """Codifferential via its star-derivative-star definition.
+
+    The prefactor joins the outer star's signs, so each coefficient is negated
+    at most once and one whose signs cancel is passed on as it is.
+    """
+    return _signed_hodge(ext_d(hodge(a)), sign_constants(a.q, a.N).codiff_sign)
 
 
 def codiff_expansion(a: FieldForm) -> FieldForm:
@@ -519,20 +528,49 @@ class SmoothMap:
 
     @classmethod
     def affine(cls, A, b=None):
-        def make(A, b):  # sums over source axes in one order, batch or point
-            t, s = A.shape
-            return cls(fn=lambda x: ((x.T[..., None] * A.T).sum(-2) + b).T,
-                       jacobian=lambda x: A.T.copy(), source_dim=s, target_dim=t,
-                       constant_jacobian=A.T.copy())
-
+        """x -> A x + b; an invertible A gives the map its inverse."""
         A = np.asarray(A, dtype=float)
         b = np.zeros(A.shape[0]) if b is None else np.asarray(b, dtype=float)
-        fwd = make(A, b)
+        inverse_of = None
         if A.shape[0] == A.shape[1] and abs(np.linalg.det(A)) > 0:
             Ai = np.linalg.inv(A)
-            fwd.inverse = make(Ai, -Ai @ b)
-            fwd.inverse.inverse = fwd
-        return fwd
+            inverse_of = (Ai, -Ai @ b)
+        return _AffineMap.of(A, b, inverse_of)
+
+
+@dataclass(repr=False, eq=False)
+class _AffineMap(SmoothMap):
+    """x -> A x + b, with linear = (A, b).
+
+    The inverse is made on first use from inverse_of = (A^-1, -A^-1 b), and
+    made to invert back by (A, b) itself, so `tau.inverse.inverse` evaluates
+    as tau does while no map refers back to the map it inverts: dropping an
+    affine map frees it without the cyclic collector.
+    """
+
+    linear: tuple = None
+    inverse_of: Optional[tuple] = None
+
+    @classmethod
+    def of(cls, A, b, inverse_of):
+        t, s = A.shape  # sums over source axes in one order, batch or point
+        return cls(fn=lambda x: ((x.T[..., None] * A.T).sum(-2) + b).T,
+                   jacobian=lambda x: A.T.copy(), source_dim=s, target_dim=t,
+                   constant_jacobian=A.T.copy(), linear=(A, b), inverse_of=inverse_of)
+
+    @property
+    def inverse(self):
+        if self._inverse is None and self.inverse_of is not None:
+            self._inverse = _AffineMap.of(*self.inverse_of, self.linear)
+        return self._inverse
+
+    @inverse.setter
+    def inverse(self, value):
+        self._inverse = value
+
+    def __repr__(self):
+        A, b = self.linear
+        return f"SmoothMap.affine({A.tolist()!r}, {b.tolist()!r})"
 
 
 def _compound(J: np.ndarray, q: int) -> np.ndarray:

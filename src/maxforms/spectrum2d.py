@@ -10,6 +10,15 @@ under the Cartesian chain rule.  Exactness of every derivative is what lets
 the first-order system residuals sit at evaluation accuracy instead of at a
 finite-difference floor.
 
+What depends only on an eigenform's label (q, n, m, role) and on fixed
+quadrature rules is built once per process: analytic_eigenform keeps one
+immutable mode per valid label (_EIGENFORMS, as bessel._TABLES keeps the zero
+tables), the mode keeps its Cartesian components and field form, and each
+PolarScalar keeps its Cartesian partials, its leading exponent and the angular
+reductions its consumers take on fixed rules.  Radial values are computed per
+request, so no request's numeric result is cached.  Nothing is evicted:
+memory grows with the distinct labels requested.
+
 The discrete side has two routes: a finite-volume radial solver per angular
 order, and a two-dimensional mixed-boundary tensor solve, which the fast
 diagonalization of Lynch, Rice & Thomas (Numer. Math. 6, 1964) separates
@@ -22,7 +31,10 @@ import functools
 import heapq
 import itertools
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -129,9 +141,16 @@ _SIN_PHI = _sin_harm(1.0)
 
 class PolarScalar:
     """Finite sum of separable products factor(r) * angular(phi), one angular
-    sum per distinct radial factor."""
+    sum per distinct radial factor.
 
-    __slots__ = ("pairs",)
+    A scalar is never changed once built, so what depends only on it is kept
+    on it when first asked for: its Cartesian partials, its leading exponent,
+    and the angular reductions its consumers take on fixed rules (`_kept`).
+    A scalar holds its partials, never the reverse, so the memo makes no
+    reference cycle.
+    """
+
+    __slots__ = ("pairs", "_memo")
 
     def __init__(self, pairs):
         # equal factors merge by concatenating their angular terms, uncombined,
@@ -141,6 +160,25 @@ class PolarScalar:
             if A.terms:
                 merged[R] = AngularPart(merged[R].terms + A.terms) if R in merged else A
         self.pairs = tuple(merged.items())
+        self._memo = None
+
+    def _kept(self, key, make, *args):
+        """make(*args), computed once per key and kept on this scalar.
+
+        make must depend only on the scalar and on args, which the key names,
+        so two threads racing on one key store equal values.  Arrays are kept
+        read-only.
+        """
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        value = memo.get(key)
+        if value is None:
+            value = make(*args)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            memo[key] = value
+        return value
 
     def __call__(self, r, phi):
         r = np.asarray(r, dtype=float)
@@ -172,13 +210,17 @@ class PolarScalar:
         )
 
     def cartesian_partial(self, axis: int) -> "PolarScalar":
+        """d/dx (axis 1) or d/dy (axis 2) by the chain rule, kept per axis."""
+        if axis not in (1, 2):
+            raise ValueError("axis must be 1 or 2")
+        return self._kept(("partial", axis), self._cartesian_partial, axis)
+
+    def _cartesian_partial(self, axis: int) -> "PolarScalar":
         dr = self.partial_r()
         dphi = self.partial_phi()
         if axis == 1:
             return dr.times_pure(0.0, _COS_PHI) + dphi.times_pure(-1.0, _SIN_PHI).scaled(-1.0)
-        if axis == 2:
-            return dr.times_pure(0.0, _SIN_PHI) + dphi.times_pure(-1.0, _COS_PHI)
-        raise ValueError("axis must be 1 or 2")
+        return dr.times_pure(0.0, _SIN_PHI) + dphi.times_pure(-1.0, _COS_PHI)
 
     def leading_exponent(self) -> float:
         """Lowest power of r whose angular content survives; inf if none does.
@@ -188,8 +230,11 @@ class PolarScalar:
         parts apart.  A part cancels within its first-order roundoff bound.  The
         pairs' series advance in step over ascending powers, so the sweep stops
         at the first power that survives; each group sums its terms in pair
-        order, then angular-term order.
+        order, then angular-term order.  The result is kept on the scalar.
         """
+        return self._kept("exponent", self._leading_exponent)
+
+    def _leading_exponent(self) -> float:
         top = -math.inf
         most = sum(len(A.terms) for _, A in self.pairs)  # terms one group can hold
         # per pair: its next series term, the series, and per angular term
@@ -327,9 +372,13 @@ def _on_grid(scalars, r: np.ndarray, phi: np.ndarray):
 # the four eigenfield families
 
 
-@dataclass
+@dataclass(frozen=True)
 class HalfDiskMode:
-    """One eigenfield: family degree q, partner role, angular and radial rank."""
+    """One eigenfield: family degree q, partner role, angular and radial rank.
+
+    Immutable: analytic_eigenform returns one mode per label to every caller,
+    and the mode keeps its Cartesian components and field form once made.
+    """
 
     q: int
     role: str  # "E" or "H"
@@ -339,12 +388,36 @@ class HalfDiskMode:
     normalization: float
     degree: int
     # polar-frame parts as PolarScalar, named as in spherical.split_circle:
-    # 'tau' the tangential part, 'rho' the radial one
-    parts: dict = field(repr=False)
+    # 'tau' the tangential part, 'rho' the radial one; read-only
+    parts: Mapping = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", MappingProxyType(dict(self.parts)))
 
     @property
     def nu(self) -> float:
         return self.n - 0.5
+
+    @functools.cached_property
+    def _components(self) -> Mapping:
+        if self.degree == 0:
+            comps = {(): self.parts["tau"]}
+        elif self.degree == 1:
+            fr, fphi = self.parts["rho"], self.parts["tau"]
+            comps = {
+                (1,): fr.times_pure(0.0, _COS_PHI) + fphi.times_pure(0.0, _SIN_PHI).scaled(-1.0),
+                (2,): fr.times_pure(0.0, _SIN_PHI) + fphi.times_pure(0.0, _COS_PHI),
+            }
+        else:
+            comps = {(1, 2): self.parts["rho"]}
+        return MappingProxyType(comps)
+
+    @functools.cached_property
+    def _form(self) -> FieldForm:
+        form = FieldForm(2, self.degree, {key: ps.to_scalar_field()
+                                          for key, ps in self._components.items()})
+        form.components = MappingProxyType(form.components)
+        return form
 
 
 def base_frequency(q: int, n: int, m: int) -> float:
@@ -368,12 +441,24 @@ def _norm_constant(n: int, omega: float) -> float:
     return 1.0 / math.sqrt((HALF_ARC / 2.0) * radial)
 
 
+# (q, n, m, role) -> its mode, for every valid label requested so far in the
+# process, as bessel._TABLES keeps the zero tables
+_EIGENFORMS = {}
+
+
 def analytic_eigenform(q: int, n: int, m: int, role: str = "E") -> HalfDiskMode:
     """Closed-form unit-norm eigenfield of the half-disk system.
 
     The scalar family (q=0) and the one-form family (q=1) each come with a
     partner one degree up; role selects the member.  Frame components are in
     the orthonormal polar frame, stored as exact separable sums.
+
+    A mode depends only on its label, so one is built per valid label and
+    kept for the process (_EIGENFORMS), with everything kept on it and on its
+    scalars: Cartesian components and partials, the field form, leading
+    exponents and angular reductions.  Radial values are computed per request.
+    The memo is unbounded: memory grows with the distinct labels requested.
+    A label is validated before the lookup, and an invalid one stores nothing.
     """
     if q not in (0, 1):
         raise ValueError("families are indexed by q in {0, 1}")
@@ -381,6 +466,15 @@ def analytic_eigenform(q: int, n: int, m: int, role: str = "E") -> HalfDiskMode:
         raise ValueError("role must be 'E' or 'H'")
     if n < 1 or m < 1:
         raise ValueError("angular and radial ranks start at 1")
+    key = (int(q), operator.index(n), operator.index(m), role)
+    mode = _EIGENFORMS.get(key)
+    if mode is None:
+        # a racing thread may build the same mode; both keep the first stored
+        mode = _EIGENFORMS.setdefault(key, _build_eigenform(*key))
+    return mode
+
+
+def _build_eigenform(q: int, n: int, m: int, role: str) -> HalfDiskMode:
     omega = base_frequency(q, n, m)
     nu = n - 0.5
     c0 = _norm_constant(n, omega)
@@ -410,23 +504,17 @@ def analytic_eigenform(q: int, n: int, m: int, role: str = "E") -> HalfDiskMode:
     )
 
 
-def cartesian_components(mode: HalfDiskMode) -> dict:
-    """Cartesian component PolarScalars keyed like form multi-indices."""
-    if mode.degree == 0:
-        return {(): mode.parts["tau"]}
-    if mode.degree == 1:
-        fr, fphi = mode.parts["rho"], mode.parts["tau"]
-        f1 = fr.times_pure(0.0, _COS_PHI) + fphi.times_pure(0.0, _SIN_PHI).scaled(-1.0)
-        f2 = fr.times_pure(0.0, _SIN_PHI) + fphi.times_pure(0.0, _COS_PHI)
-        return {(1,): f1, (2,): f2}
-    return {(1, 2): mode.parts["rho"]}
+def cartesian_components(mode: HalfDiskMode) -> Mapping:
+    """Cartesian component PolarScalars keyed like form multi-indices; read-only,
+    kept on the mode."""
+    return mode._components
 
 
 def to_field_form(mode: HalfDiskMode) -> FieldForm:
-    comps = {
-        key: ps.to_scalar_field() for key, ps in cartesian_components(mode).items()
-    }
-    return FieldForm(2, mode.degree, comps)
+    """The mode as a callable form on Cartesian points, kept on the mode: its
+    coefficients keep their partials between calls.  Its components are
+    read-only."""
+    return mode._form
 
 
 def _annulus_points(samples: int, seed: int) -> np.ndarray:
@@ -559,9 +647,11 @@ def extract_coefficients(
     Separably: a part sum_i R_i(r) A_i(phi) has the coefficients
     sum_i R_i(r) <A_i, basis_k>, so each distinct radial factor of the parts
     is evaluated once on the M_r nodes (times r for the 'd' and 'b'
-    families), each angular sum is projected once by the midpoint rule on
-    M_phi nodes, and no M_r x M_phi grid is formed.  The angular sums have order n = mode.n, for which the
-    rule is exact against basis order k when n + k - 1 < 2 M_phi
+    families), each angular sum is projected by the midpoint rule on M_phi
+    nodes once per process (kept on the part per letter, orders and M_phi),
+    and no M_r x M_phi grid is formed.  The angular sums have order
+    n = mode.n, for which the rule is exact against basis order k when
+    n + k - 1 < 2 M_phi
     (project_angular); M_phi is a floor, raised to the smallest count exact
     for every requested order.
     """
@@ -570,17 +660,25 @@ def extract_coefficients(
         raise ValueError(f"angular cells must be positive, got {M_phi}")
     M_phi = max(M_phi, (mode.n + max(n_list, default=1) + 1) // 2)
     r = radial_nodes(M_r)
-    phi = _angular_nodes(M_phi)
-    h = HALF_ARC / M_phi
     stored = _FAMILIES[mode.degree]
     values = _radial_values(_factors(mode.parts[part] for _, part, _ in stored), r)
     families = {}
     for letter, part, metric in stored:
-        pairs = mode.parts[part].pairs
-        radial = np.array([values[R] for R, _ in pairs])  # (pairs, M_r)
-        proj = h * (np.array([A(phi) for _, A in pairs]) @ _basis_rows(letter, n_list, phi).T)
+        ps = mode.parts[part]
+        radial = np.array([values[R] for R, _ in ps.pairs])  # (pairs, M_r)
+        proj = ps._kept(("projection", letter, n_list, M_phi),
+                        _angular_projection, ps, letter, n_list, M_phi)
         families[letter] = proj.T @ (r * radial if metric else radial)
     return CoefficientSet(n_list=n_list, nodes=r, families=families, M_phi=M_phi)
+
+
+def _angular_projection(ps: PolarScalar, letter: str, n_list, M_phi: int) -> np.ndarray:
+    """<A_i, basis_k> for each pair i of ps and order k of n_list, by the
+    M_phi-point midpoint rule; it depends only on its arguments, so it is
+    kept on ps per (letter, n_list, M_phi)."""
+    phi = _angular_nodes(M_phi)
+    h = HALF_ARC / M_phi
+    return h * (np.array([A(phi) for _, A in ps.pairs]) @ _basis_rows(letter, n_list, phi).T)
 
 
 def _centered(values: np.ndarray, h: float) -> np.ndarray:

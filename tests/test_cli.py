@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxforms import cli, exterior, spectrum2d
+from maxforms import bessel, cli, exterior, spectrum2d
 
 
 def run(argv, capsys):
@@ -636,12 +636,20 @@ def test_output_into_a_missing_directory_exits_2(command, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_repeat_runs_are_byte_identical(capsys):
-    argv = ["eigen2d", "--q", "1", "--modes", "3", "--grid", "128,16",
-            "--format", "json"]
-    _, first = run(argv, capsys)
-    _, second = run(argv, capsys)
-    assert first == second
+@pytest.mark.parametrize("command", sorted(_REQUESTS))
+def test_repeat_runs_are_byte_identical(command, monkeypatch, capsys):
+    # the first run fills every per-process table from empty, the second reads
+    # them warm: zero tables, radial eigenvalues, the last Bessel batch and the
+    # eigenform memo
+    monkeypatch.setattr(bessel, "_TABLES", {})
+    monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", {})
+    monkeypatch.setattr(spectrum2d, "_LAST_BATCH", [(None, None)])
+    monkeypatch.setattr(spectrum2d, "_EIGENFORMS", {})
+    argv = [*_REQUESTS[command], "--format", "json"]
+    code, first = run(argv, capsys)
+    assert code == 0
+    code, second = run(argv, capsys)
+    assert code == 0 and first == second
     assert "time" not in json.loads(first)["config"]
 
 

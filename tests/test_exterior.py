@@ -13,6 +13,7 @@ from maxforms.exterior import (
     GridScalar,
     ScalarField,
     SmoothMap,
+    _Scaled,
     codiff,
     codiff_expansion,
     evaluate,
@@ -30,6 +31,7 @@ from maxforms.multiindex import (
     complement,
     concat_sign,
     enumerate_ordered,
+    hodge_table,
     insert_sign,
     sign_constants,
 )
@@ -677,9 +679,10 @@ def test_node_algebra_matches_closure_pairs_bitwise(N):
                 np.testing.assert_array_equal(u, v, strict=True)
 
 
-def _build_and_evaluate_relations(taus, seed):
+def _build_and_evaluate_relations(seed):
     rng = np.random.default_rng(seed)
-    for N, tau in taus.items():
+    for N in range(1, 5):
+        tau = _random_spd_affine(N, rng)
         X = rng.uniform(0.2, 0.8, (N, 4))
         for q in range(N + 1):
             forms = _relation_forms(N, q, int(rng.integers(2**32)), tau, ScalarField)
@@ -691,18 +694,82 @@ def _build_and_evaluate_relations(taus, seed):
 
 
 def test_node_expressions_leave_nothing_for_the_cyclic_collector():
-    # a map and its inverse refer to each other, so the maps are made outside
-    taus = {N: _random_spd_affine(N, RNG) for N in range(1, 5)}
-    _build_and_evaluate_relations(taus, 1)  # fills the index tables' caches
+    _build_and_evaluate_relations(1)  # fills the index tables' caches
     gc.collect()
     gc.disable()
     try:
-        _build_and_evaluate_relations(taus, 2)
+        # the affine maps, and their inverses, are made with the collector off
+        _build_and_evaluate_relations(2)
         found = gc.collect()
     finally:
         gc.enable()
-    # a node holding a bound method of itself would be one cycle per node
+    # a node holding a bound method of itself would be one cycle per node, and
+    # a map its inverse refers back to one cycle per map
     assert found == 0
+
+
+def test_an_affine_inverse_inverts_back_to_the_map():
+    rng = np.random.default_rng(21)
+    for N in range(1, 5):
+        tau = _random_spd_affine(N, rng)
+        x = rng.uniform(-1.0, 1.0, (N, 6))
+        back = tau.inverse.inverse
+        assert np.array_equal(back(x), tau(x)) and np.array_equal(back.jac(x), tau.jac(x))
+        assert np.array_equal(back.constant_jacobian, tau.constant_jacobian)
+        assert np.max(np.abs(tau.inverse(tau(x)) - x)) <= 1e-12
+        assert tau.inverse is tau.inverse  # made once, then kept
+        # the inverse outlives the map it inverts, and still inverts back
+        inverse = SmoothMap.affine(np.diag(np.arange(1.0, N + 1)), np.ones(N)).inverse
+        assert np.array_equal(inverse.inverse(x), (x.T * np.arange(1.0, N + 1) + 1.0).T)
+    assert SmoothMap.affine(np.ones((2, 3))).inverse is None
+    assert SmoothMap.affine(np.zeros((2, 2))).inverse is None
+    # dataclasses.replace keeps the inverse already made
+    probed = replace(tau, constant_jacobian=None)
+    assert probed.inverse is tau.inverse and probed.constant_jacobian is None
+
+
+def _hodge_negations(q, N, prefactor=1):
+    """Coefficients a prefactor times the star negates on q-forms."""
+    return sum(prefactor * sign == -1 for _, _, sign in hodge_table(q, N))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_codiff_negates_each_coefficient_at_most_once(N, monkeypatch):
+    """codiff equals the prefactor times star d star, value for value, on grid
+    and callable forms, and negates only the coefficients whose outer star sign
+    times the prefactor is -1: none twice, and a net +1 is passed on as is."""
+    negations = Counter()
+    negate, scale = GridScalar.__neg__, _Scaled.__init__
+
+    def counted_negate(self):
+        negations["grid"] += 1
+        return negate(self)
+
+    def counted_scale(self, c, field):
+        negations["callable"] += c == -1
+        scale(self, c, field)
+
+    monkeypatch.setattr(GridScalar, "__neg__", counted_negate)
+    monkeypatch.setattr(_Scaled, "__init__", counted_scale)
+    rng = np.random.default_rng(600 + N)
+    X = rng.uniform(0.2, 0.8, (N, 5))
+    for q in range(N + 1):
+        for kind, a in (("grid", _float_grid_form(N, q, rng)),
+                        ("callable", random_callable_form(N, q, rng))):
+            negations.clear()
+            inner = ext_d(hodge(a))
+            made = negations[kind]  # by the inner star and the derivative's sums
+            out = codiff(a)
+            assert negations[kind] - 2 * made == _hodge_negations(
+                N - q + 1, N, sign_constants(q, N).codiff_sign)
+            want = sign_constants(q, N).codiff_sign * hodge(inner)
+            assert out.components.keys() == want.components.keys()
+            for I, f in out.components.items():
+                if kind == "grid":
+                    assert np.array_equal(f.values, want.components[I].values)
+                else:
+                    for x in (X, X[:, 0]):
+                        assert np.array_equal(f(x), want.components[I](x))
 
 
 def _tracked_growth(form):

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import json
 import math
 import sys
@@ -13,6 +15,7 @@ from scipy.sparse.linalg import eigsh
 from maxforms import bessel, cli, spectrum2d
 from maxforms.bessel import eval_j, zeros_j, zeros_jprime
 from maxforms.exterior import codiff, ext_d
+from maxforms.regularity import classify
 from maxforms.spectrum1d import _tridiagonal_eigenvalues, fd_eigenvalue_closed_form
 from maxforms.spectrum2d import (
     AngularPart,
@@ -766,23 +769,9 @@ def test_cold_and_warm_batches_give_equal_values(monkeypatch):
                 assert np.array_equal(R(r), factor_values(R, r)), (label, R)
 
 
-def test_threads_sharing_one_point_set_agree_bitwise(monkeypatch):
-    points = np.random.default_rng(5).uniform(0.05, 0.95, (2, 40))
-    fields = [to_field_form(analytic_eigenform(*label)) for label in _BATCH_LABELS]
-
-    def evaluate_all(form):
-        # every component and Cartesian partial, many times over one point set
-        return [[f(points) for f in (c, c.partial(1), c.partial(2))] * 3
-                for c in form.components.values()]
-
-    alone = [evaluate_all(form) for form in fields]
-    monkeypatch.setattr(spectrum2d, "_LAST_BATCH", [(None, None)])
-    results = [None] * len(fields)  # more threads than cores, switching often
-
-    def work(i):
-        results[i] = evaluate_all(fields[i])
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fields))]
+def _run_threads(work, count):
+    """work(i) on count threads, more than the cores, switching often."""
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -793,5 +782,141 @@ def test_threads_sharing_one_point_set_agree_bitwise(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+
+
+def test_threads_sharing_one_point_set_agree_bitwise(monkeypatch):
+    points = np.random.default_rng(5).uniform(0.05, 0.95, (2, 40))
+    fields = [to_field_form(analytic_eigenform(*label)) for label in _BATCH_LABELS]
+
+    def evaluate_all(form):
+        # every component and Cartesian partial, many times over one point set
+        return [[f(points) for f in (c, c.partial(1), c.partial(2))] * 3
+                for c in form.components.values()]
+
+    def same(got, want):
+        return all(np.array_equal(a, b) for gs, ws in zip(got, want) for a, b in zip(gs, ws))
+
+    alone = [evaluate_all(form) for form in fields]
+    monkeypatch.setattr(spectrum2d, "_LAST_BATCH", [(None, None)])
+    results = [None] * len(fields)
+
+    def work(i):
+        results[i] = evaluate_all(fields[i])
+
+    _run_threads(work, len(fields))
     for got, want in zip(results, alone):
-        assert all(np.array_equal(a, b) for gs, ws in zip(got, want) for a, b in zip(gs, ws))
+        assert same(got, want)
+
+    # with the memo cold, every thread builds every label, in its own order, so
+    # the threads race to fill the memo and the partial caches of its forms
+    monkeypatch.setattr(spectrum2d, "_EIGENFORMS", {})
+    monkeypatch.setattr(spectrum2d, "_LAST_BATCH", [(None, None)])
+    built = [None] * len(fields)
+
+    def build_and_work(i):
+        order = _BATCH_LABELS[i:] + _BATCH_LABELS[:i]
+        modes = {label: analytic_eigenform(*label) for label in order}
+        built[i] = modes
+        results[i] = {label: evaluate_all(to_field_form(mode)) for label, mode in modes.items()}
+
+    _run_threads(build_and_work, len(fields))
+    assert len(spectrum2d._EIGENFORMS) == len(_BATCH_LABELS)
+    for modes, got in zip(built, results):
+        for label, want in zip(_BATCH_LABELS, alone):
+            assert modes[label] is spectrum2d._EIGENFORMS[label]  # the first stored
+            assert same(got[label], want), label
+
+
+# ---------------------------------------------------------------------------
+# the per-label memo
+
+_MEMO_LABELS = [(q, n, 1 + n % 3, role) for q in (0, 1) for role in ("E", "H")
+                for n in range(1, 9)]
+
+
+def _consumers(q, n, m, role):
+    """The five consumers of a label's algebra, each run once."""
+    mode = analytic_eigenform(q, n, m, role)
+    return [classify(q, n, m, role),
+            extract_coefficients(mode, range(1, 10), M_r=50),
+            coeff_ode_residuals(q, n, m, M_r=100),
+            gram_matrix_2d([mode, analytic_eigenform(q, n, m + 1, role)]),
+            maxwell_residual_2d(q, n, m, samples=24)]
+
+
+def _bitwise_equal(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_bitwise_equal(a[k], b[k]) for k in a)
+    if hasattr(a, "__dataclass_fields__"):
+        return type(a) is type(b) and _bitwise_equal(vars(a), vars(b))
+    if isinstance(a, (np.ndarray, float, complex)):
+        a, b = np.atleast_1d(a), np.atleast_1d(b)
+        return (a.dtype == b.dtype and a.shape == b.shape
+                and np.array_equal(a.view(np.uint8), b.view(np.uint8)))
+    return a == b
+
+
+@pytest.mark.parametrize("label", _MEMO_LABELS, ids=lambda label: "{}-{}-{}-{}".format(*label))
+def test_cold_and_warm_memo_give_bitwise_equal_results(label, monkeypatch):
+    monkeypatch.setattr(spectrum2d, "_EIGENFORMS", {})
+    cold = _consumers(*label)
+    assert label in spectrum2d._EIGENFORMS
+    warm = _consumers(*label)
+    for got, want in zip(warm, cold, strict=True):
+        assert _bitwise_equal(got, want), label
+
+
+def test_a_returned_mode_is_immutable():
+    mode = analytic_eigenform(0, 2, 1, "H")
+    assert analytic_eigenform(0, 2, 1, "H") is mode
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mode.omega = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mode.parts = {}
+    with pytest.raises(TypeError):
+        mode.parts["rho"] = mode.parts["tau"]
+    with pytest.raises(TypeError):
+        del mode.parts["rho"]
+    with pytest.raises(TypeError):
+        cartesian_components(mode)[(1,)] = mode.parts["tau"]
+    with pytest.raises(TypeError):
+        to_field_form(mode).components[(1,)] = to_field_form(mode).components[(2,)]
+    assert cartesian_components(mode) is cartesian_components(mode)
+    assert to_field_form(mode) is to_field_form(mode)
+    # a mode built directly is read-only as well
+    copy = dataclasses.replace(mode, omega=mode.omega)
+    with pytest.raises(TypeError):
+        copy.parts["rho"] = mode.parts["tau"]
+
+
+def test_invalid_labels_raise_and_store_nothing(monkeypatch):
+    monkeypatch.setattr(spectrum2d, "_EIGENFORMS", {})
+    for label in [(2, 1, 1, "E"), (-1, 1, 1, "E"), (0, 0, 1, "E"), (0, 1, 0, "E"),
+                  (1, 1, -3, "H"), (0, 1, 1, "X"), (0, 1, 1, "e")]:
+        with pytest.raises(ValueError):
+            analytic_eigenform(*label)
+    for label in [(0, 2.0, 1, "E"), (1, 2, 1.5, "H")]:
+        with pytest.raises(TypeError):
+            analytic_eigenform(*label)
+    assert spectrum2d._EIGENFORMS == {}
+    # an integer of another type names the same label
+    assert analytic_eigenform(np.int64(1), np.int64(2), 1, "E") is analytic_eigenform(1, 2, 1)
+    assert list(spectrum2d._EIGENFORMS) == [(1, 2, 1, "E")]
+
+
+def test_the_memo_leaves_nothing_for_the_cyclic_collector(monkeypatch):
+    _consumers(1, 2, 1, "E")  # fills the index tables' and rules' caches
+    monkeypatch.setattr(spectrum2d, "_EIGENFORMS", {})
+    gc.collect()
+    gc.disable()
+    try:
+        for label in _MEMO_LABELS[::5]:
+            _consumers(*label)
+            _consumers(*label)
+        # emptying the memo drops its modes: each must be freed by its count
+        spectrum2d._EIGENFORMS.clear()
+        found = gc.collect()
+    finally:
+        gc.enable()
+    # a scalar holding a field that holds the scalar would be one cycle per scalar
+    assert found == 0
