@@ -19,7 +19,12 @@ codifferential expansion each sum coefficients left to right over one cached
 index table of `multiindex`.  A degree outside 0..N has no indices, so the
 result of an operator keeps the degree it computes (a wedge past N has degree
 p + r) with no components, and a coefficient with no terms is zero in the
-operands' representation.
+operands' representation.  Operators whose keys come from those tables, in
+their order, build the result without checking the keys again.
+
+An affine map holds read-only copies of its arrays, and keeps what depends
+only on it, each made on first use: the compound of its Jacobian per degree,
+which every pullback along it contracts, and its orientation verdict.
 
 Callable operations build an expression tree of slotted nodes (sum, product,
 complex scaling, constant, harmonic wave, pullback coefficient), each one
@@ -35,7 +40,7 @@ from __future__ import annotations
 import functools
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -340,6 +345,14 @@ class FieldForm:
         return "empty"
 
     @classmethod
+    def _of_ordered(cls, N: int, q: int, components: dict) -> "FieldForm":
+        """The form whose components are keyed by exactly `enumerate_ordered(q, N)`,
+        in its order, as the operators build them; the keys are not checked."""
+        form = object.__new__(cls)
+        form.N, form.q, form.components = N, q, components
+        return form
+
+    @classmethod
     def from_callable(cls, N, q, components=None):
         """Wrap plain callables as fields and zero-fill the missing components;
         a key outside the degree-q index set is refused by the constructor."""
@@ -367,7 +380,8 @@ class FieldForm:
         return cls.from_callable(N, q)
 
     def map_components(self, fn) -> "FieldForm":
-        return FieldForm(self.N, self.q, {k: fn(v) for k, v in self.components.items()})
+        return FieldForm._of_ordered(self.N, self.q,
+                                     {k: fn(v) for k, v in self.components.items()})
 
     def __add__(self, other):
         if self.N != other.N or self.q != other.q:
@@ -435,8 +449,9 @@ def _sum_table(N: int, q: int, table, term, *operands: FieldForm) -> FieldForm:
         if not terms:
             out[K] = zero()
         elif not in_place:
-            out[K] = functools.reduce(operator.add, (sign * kernel(x, y)
-                                                     for sign, kernel, x, y in terms))
+            out[K] = functools.reduce(operator.add, (
+                kernel(x, y) if sign == 1 else sign * kernel(x, y)
+                for sign, kernel, x, y in terms))
         else:
             (sign, kernel, x, y), *rest = terms
             acc = kernel(x, y)
@@ -449,7 +464,7 @@ def _sum_table(N: int, q: int, table, term, *operands: FieldForm) -> FieldForm:
                 kernel(x, y, spare)
                 (np.add if sign == 1 else np.subtract)(acc.values, spare, out=acc.values)
             out[K] = acc
-    return FieldForm(N, q, out)
+    return FieldForm._of_ordered(N, q, out)
 
 
 def wedge(a: FieldForm, b: FieldForm) -> FieldForm:
@@ -505,7 +520,8 @@ class SmoothMap:
     `fn` maps points (s, ...) to (t, ...); `jacobian(x)[i, j]`, shape (s, t, ...)
     or (s, t) when constant, is the partial of component j+1 along source axis
     i+1, so rows index source axes.  `inverse` is optional and only required by
-    the material transformations.  `affine` sets `constant_jacobian`.
+    the material transformations.  `affine` sets `constant_jacobian`; along a
+    map built here with one, what derives from it is computed per call.
     """
 
     fn: Callable
@@ -526,37 +542,65 @@ class SmoothMap:
             )
         return J
 
+    def _kept(self, key, make, *args):
+        """make(*args), a value that depends only on the map and on `key`."""
+        return make(*args)
+
     @classmethod
     def affine(cls, A, b=None):
-        """x -> A x + b; an invertible A gives the map its inverse."""
-        A = np.asarray(A, dtype=float)
-        b = np.zeros(A.shape[0]) if b is None else np.asarray(b, dtype=float)
+        """x -> A x + b; an invertible A gives the map its inverse.  The map holds
+        read-only copies of A and b, so what it keeps cannot go stale."""
+        A = _read_only(A)
+        b = _read_only(np.zeros(A.shape[0]) if b is None else b)
         inverse_of = None
-        if A.shape[0] == A.shape[1] and abs(np.linalg.det(A)) > 0:
-            Ai = np.linalg.inv(A)
-            inverse_of = (Ai, -Ai @ b)
+        if A.shape[0] == A.shape[1]:
+            # by slogdet, whose sign a determinant below the float range keeps
+            sign, logabsdet = np.linalg.slogdet(A)
+            if sign != 0 and np.isfinite(logabsdet):
+                Ai = np.linalg.inv(A)
+                inverse_of = (_read_only(Ai), _read_only(-Ai @ b))
         return _AffineMap.of(A, b, inverse_of)
+
+
+def _read_only(x) -> np.ndarray:
+    """A read-only float copy of x, in x's memory layout."""
+    out = np.array(x, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(repr=False, eq=False)
 class _AffineMap(SmoothMap):
-    """x -> A x + b, with linear = (A, b).
+    """x -> A x + b, with linear = (A, b), both read-only.
 
     The inverse is made on first use from inverse_of = (A^-1, -A^-1 b), and
     made to invert back by (A, b) itself, so `tau.inverse.inverse` evaluates
     as tau does while no map refers back to the map it inverts: dropping an
     affine map frees it without the cyclic collector.
+
+    What depends only on the map (the compound of its Jacobian per degree, its
+    orientation verdict) is kept on first use.  The store is no init field, so
+    a map made by `dataclasses.replace` starts with an empty one.
     """
 
     linear: tuple = None
     inverse_of: Optional[tuple] = None
+    _store: dict = field(default_factory=dict, init=False)
 
     @classmethod
     def of(cls, A, b, inverse_of):
         t, s = A.shape  # sums over source axes in one order, batch or point
         return cls(fn=lambda x: ((x.T[..., None] * A.T).sum(-2) + b).T,
                    jacobian=lambda x: A.T.copy(), source_dim=s, target_dim=t,
-                   constant_jacobian=A.T.copy(), linear=(A, b), inverse_of=inverse_of)
+                   constant_jacobian=_read_only(A.T), linear=(A, b), inverse_of=inverse_of)
+
+    def _kept(self, key, make, *args):
+        """make(*args) on the first use of `key`; of threads racing on it, each
+        returns the value stored first."""
+        value = self._store.get(key)
+        if value is None:
+            value = self._store.setdefault(key, make(*args))
+        return value
 
     @property
     def inverse(self):
@@ -575,11 +619,14 @@ class _AffineMap(SmoothMap):
 
 def _compound(J: np.ndarray, q: int) -> np.ndarray:
     """q-th compound of J (m, n, ...): entry (I, K, ...) is the minor on rows I and
-    columns K, from one stacked determinant; by Cauchy-Binet compounds multiply."""
+    columns K, from one stacked determinant; by Cauchy-Binet compounds multiply.
+    It is read-only: an affine map shares it between its pullbacks."""
     rows, cols = (np.array(ix, dtype=int).reshape(len(ix), q) - 1
                   for ix in (enumerate_ordered(q, n) for n in J.shape[:2]))
     blocks = J[rows[:, None, :, None], cols[None, :, None, :]]  # (I, K, q, q, ...)
-    return np.linalg.det(np.moveaxis(blocks, (2, 3), (-2, -1)))
+    M = np.linalg.det(np.moveaxis(blocks, (2, 3), (-2, -1)))
+    M.flags.writeable = False
+    return M
 
 
 class _Pullback:
@@ -653,8 +700,9 @@ def pullback(tau: SmoothMap, a: FieldForm) -> FieldForm:
     One evaluator per pullback contracts the compound of the Jacobian with all
     components of `a`, evaluated once per point batch, and keeps the last batch:
     each coefficient reads its row, so nested pullbacks cost linear in depth.
-    Along an affine map the compound is constant and the coefficients
-    differentiate exactly: their partials are pullbacks of chain-ruled partials.
+    Along an affine map the compound is constant, kept by the map per degree,
+    and the coefficients differentiate exactly: their partials are pullbacks of
+    chain-ruled partials.
     """
     if a.kind == "grid":
         raise ValueError("pullback needs the callable representation")
@@ -662,15 +710,25 @@ def pullback(tau: SmoothMap, a: FieldForm) -> FieldForm:
         raise ValueError("form dimension does not match map target")
     N_src, q = tau.source_dim, a.q
     if not 0 <= q <= N_src:
-        return FieldForm(N_src, q, {})
+        return FieldForm._of_ordered(N_src, q, {})
     J = tau.constant_jacobian
-    pull = _Pullback(tau, a, None if J is None else _compound(J.T, q))
+    pull = _Pullback(tau, a, None if J is None else tau._kept(q, _compound, J.T, q))
     node = _PullbackCoefficient if J is None else _AffinePullbackCoefficient
-    return FieldForm(N_src, q, {I: node(pull, i, I)
-                                for i, I in enumerate(enumerate_ordered(q, N_src))})
+    return FieldForm._of_ordered(N_src, q, {I: node(pull, i, I)
+                                            for i, I in enumerate(enumerate_ordered(q, N_src))})
 
 
 _PROBE_OFFSETS = (0.0, 0.37, -0.29)
+
+
+def _oriented(tau: SmoothMap) -> bool:
+    """Whether the Jacobian determinant is positive: the constant one, else at
+    each probe point; by slogdet's sign, which no underflow sets to zero."""
+    if tau.constant_jacobian is not None:
+        jacobians = [tau.constant_jacobian]
+    else:
+        jacobians = (tau.jac(np.full(tau.source_dim, t)) for t in _PROBE_OFFSETS)
+    return all(np.linalg.slogdet(J)[0] > 0 for J in jacobians)
 
 
 def _require_orientation(tau: SmoothMap):
@@ -678,13 +736,8 @@ def _require_orientation(tau: SmoothMap):
         raise ValueError("material transformations need a square map")
     if tau.inverse is None:
         raise ValueError("material transformations need an invertible map")
-    if tau.constant_jacobian is not None:
-        jacobians = [tau.constant_jacobian]
-    else:
-        jacobians = (tau.jac(np.full(tau.source_dim, t)) for t in _PROBE_OFFSETS)
-    for J in jacobians:
-        if np.linalg.det(J) <= 0:
-            raise ValueError("orientation-reversing maps are not supported")
+    if not tau._kept("oriented", _oriented, tau):
+        raise ValueError("orientation-reversing maps are not supported")
 
 
 def transform_eps(tau: SmoothMap, a: FieldForm) -> FieldForm:

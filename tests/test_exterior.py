@@ -2,17 +2,23 @@
 
 import gc
 import itertools
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import maxforms.exterior as exterior
 from maxforms.exterior import (
     FieldForm,
     GridScalar,
     ScalarField,
     SmoothMap,
+    _compound,
+    _PullbackCoefficient,
     _Scaled,
     codiff,
     codiff_expansion,
@@ -367,6 +373,22 @@ def test_orientation_probed_when_the_jacobian_is_not_constant():
     dx1 = FieldForm.from_callable(2, 1, {(1,): ScalarField.constant(1.0)})
     with pytest.raises(ValueError, match="orientation"):
         transform_mu(probed, dx1)
+
+
+def test_invertibility_and_orientation_survive_a_determinant_below_the_float_range():
+    # det(1e-100 I) = 1e-400 underflows to 0, yet the map is invertible
+    tau = SmoothMap.affine(1e-100 * np.eye(4))
+    x = RNG.uniform(-1.0, 1.0, (4, 6))
+    assert np.max(np.abs(tau.inverse(tau(x)) - x)) <= 1e-12
+    a = random_callable_form(4, 2, RNG)  # half dimension: a scaling is transform neutral
+    assert form_max_diff(transform_eps(tau, a), a, sample_points(4, RNG)) < 1e-10
+    flip = SmoothMap.affine(np.diag([1e-100, 1e-100, 1e-100, -1e-100]))
+    assert flip.inverse is not None
+    with pytest.raises(ValueError, match="orientation-reversing"):
+        transform_eps(flip, a)
+    with pytest.raises(ValueError, match="orientation-reversing"):  # and when probed
+        transform_eps(replace(flip, constant_jacobian=None), a)
+    assert SmoothMap.affine(np.zeros((2, 2))).inverse is None
 
 
 # -- representation handling ---------------------------------------------------
@@ -871,3 +893,164 @@ def test_grid_sums_refuse_components_on_different_grids():
                                    (2,): GridScalar(values, (0.2, 0.3))}, (0.1, 0.3))
     with pytest.raises(ValueError, match="grid mismatch"):
         ext_d(a)
+
+
+# -- what an affine map keeps ---------------------------------------------------
+
+
+def _pulled_compound(tau, q, rng):
+    """The compound that a pullback of a q-form along tau contracts."""
+    form = pullback(tau, random_callable_form(tau.target_dim, q, rng))
+    return next(iter(form.components.values())).pull.fixed
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_an_affine_map_keeps_the_compound_its_pullbacks_contract(N):
+    rng = np.random.default_rng(800 + N)
+    tau = _random_spd_affine(N, rng)
+    for m in (tau, tau.inverse, tau.inverse.inverse):
+        for q in range(N + 1):
+            kept = _pulled_compound(m, q, rng)
+            assert _pulled_compound(m, q, rng) is kept
+            assert np.array_equal(kept, _compound(m.constant_jacobian.T, q))
+            assert not kept.flags.writeable
+
+
+def test_a_replaced_map_keeps_nothing_and_takes_the_curved_path():
+    tau = _random_spd_affine(3, RNG)
+    a = random_callable_form(3, 1, RNG)
+    transform_eps(tau, pullback(tau, a))
+    assert set(tau._store) == {1, 2, "oriented"}
+    probed = replace(tau, constant_jacobian=None)
+    assert probed._store == {}
+    pulled = pullback(probed, a)
+    assert probed._store == {}
+    assert all(type(f) is _PullbackCoefficient for f in pulled.components.values())
+    assert form_max_diff(pulled, pullback(tau, a), sample_points(3, RNG)) <= 1e-15
+
+
+def test_a_map_with_its_own_constant_jacobian_follows_writes_into_it():
+    J = np.array([[1.2, -0.3], [0.1, 0.9]])
+    own = SmoothMap(fn=lambda x: x, jacobian=lambda x: J, source_dim=2, target_dim=2,
+                    constant_jacobian=J)
+    dx1 = FieldForm.from_callable(2, 1, {(1,): ScalarField.constant(1.0)})
+    v = np.array([0.3, 0.8])
+    assert evaluate(pullback(own, dx1), v) == pytest.approx({(1,): 1.2, (2,): 0.1})
+    J[:, 0] = [2.0, 0.5]  # the map keeps nothing, so the next pullback sees the write
+    assert evaluate(pullback(own, dx1), v) == pytest.approx({(1,): 2.0, (2,): 0.5})
+
+
+def test_an_affine_map_holds_read_only_copies_of_its_arrays():
+    A, b = np.array([[2.0, 0.5], [0.25, 1.5]]), np.array([0.1, -0.2])
+    tau = SmoothMap.affine(A, b)
+    x = RNG.uniform(-1.0, 1.0, (2, 3))
+    before = tau(x)
+    arrays = [tau.constant_jacobian, *tau.linear, tau.inverse.constant_jacobian,
+              *tau.inverse.linear]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7.0
+    # the caller's arrays stay writable, and writing them leaves the map alone
+    A[0, 0] = b[0] = 3.0
+    assert np.array_equal(tau(x), before)
+    assert np.array_equal(tau.constant_jacobian, [[2.0, 0.25], [0.5, 1.5]])
+
+
+def test_threads_racing_pullbacks_on_a_fresh_map_get_the_single_threaded_values():
+    """4 threads, more than the cores, at a short switch interval: each gets the
+    single-threaded values bitwise, and every pullback along the map contracts
+    the compound the map kept, which a lost update of the store would break."""
+    N = 4
+    rng = np.random.default_rng(31)
+    B = rng.normal(size=(N, N))
+    A, b = B @ B.T + 0.8 * N * np.eye(N), rng.normal(size=N)
+    forms = [random_callable_form(N, q, rng) for q in range(N + 1)]
+    X = rng.uniform(0.2, 0.8, (N, 5))
+
+    def values(tau):
+        out, used = [], []
+        for a in forms:
+            pulled = pullback(tau, a)
+            used.append((a.q, next(iter(pulled.components.values())).pull.fixed))
+            for form in (pulled, ext_d(pullback(tau, a)),
+                         transform_eps(tau, transform_mu(tau, a))):
+                out += [np.asarray(f(X)) for f in form.components.values()]
+        return out, used
+
+    want, _ = values(SmoothMap.affine(A, b))
+    tau = SmoothMap.affine(A, b)
+    start = threading.Barrier(4, timeout=60)
+
+    def race():
+        start.wait()
+        return values(tau)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = [pool.submit(race) for _ in range(4)]
+            got = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for out, used in got:
+        for u, v in zip(out, want, strict=True):
+            np.testing.assert_array_equal(u, v, strict=True)
+        assert all(M is tau._store[q] for q, M in used)
+
+
+def test_a_criterion_02_loop_makes_each_compound_once_per_map_and_degree(monkeypatch):
+    calls = Counter()
+
+    def counted(J, q):
+        calls[id(J.base), q] += 1  # J is the transpose of a map's constant Jacobian
+        return compound(J, q)
+
+    compound = exterior._compound
+    monkeypatch.setattr(exterior, "_compound", counted)
+    rng = np.random.default_rng(202)
+    for N in range(1, 5):
+        tau = _random_spd_affine(N, rng)
+        calls.clear()
+        for q in range(N + 1):
+            for _ in range(50):
+                a = random_callable_form(N, q, rng, max_freq=1)
+                x = rng.uniform(0.2, 0.8, N)
+                evaluate(ext_d(pullback(tau, a)), x)
+                evaluate(pullback(tau, ext_d(a)), x)
+                evaluate(transform_eps(tau, transform_mu(tau, a)), x)
+        # degrees 0..N along tau and along its inverse, each made once
+        assert set(calls.values()) == {1} and len(calls) <= 2 * (N + 1)
+
+
+# -- the order of operator results ---------------------------------------------
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("grid", [False, True], ids=["callable", "grid"])
+def test_operator_results_are_keyed_in_index_order(N, grid):
+    """Every operator's result lists its components in `enumerate_ordered` order,
+    also for degrees outside 0..N, where there are none."""
+    rng = np.random.default_rng(900 + N)
+
+    def make(q):
+        if not 0 <= q <= N:
+            return FieldForm(N, q, {})
+        return random_grid_form(N, q, rng) if grid else random_callable_form(N, q, rng)
+
+    def assert_ordered(form, q):
+        assert (form.N, form.q) == (N, q)
+        assert list(form.components) == list(enumerate_ordered(q, N))
+
+    tau = _random_spd_affine(N, rng)
+    for q in range(-1, N + 2):
+        a = make(q)
+        for op, degree in ((ext_d, q + 1), (hodge, N - q), (codiff, q - 1),
+                           (codiff_expansion, q - 1)):
+            assert_ordered(op(a), degree)
+        assert_ordered(a.map_components(lambda v: 2.0 * v), q)
+        for r in range(-1, N + 2):
+            assert_ordered(wedge(a, make(r)), q + r)
+        if not grid:
+            for op in (pullback, transform_eps, transform_mu):
+                assert_ordered(op(tau, a), q)
