@@ -211,8 +211,7 @@ def _scan_zeros(f, start: float, stop: float, count: int) -> np.ndarray:
     return _polish(f, xs[i], xs[i + 1], neg[i])
 
 
-# (kind, n) -> the longest table computed so far; a shorter request is a prefix
-_TABLES = {}
+_TABLES = {}  # (kind, n) -> the longest table stored so far (maxforms._kept)
 
 
 def _table(n: int, count: int, kind: str) -> ZeroTable:
@@ -224,7 +223,9 @@ def _table(n: int, count: int, kind: str) -> ZeroTable:
         nu = n - 0.5
         f = _with_slope(kind, n)
         zs = _scan_zeros(f, nu, nu + (count + 1) * math.pi, count)
-        table = _TABLES[kind, n] = ZeroTable(n, kind, zs, np.abs(f(zs)[0]))
+        table = ZeroTable(n, kind, zs, np.abs(f(zs)[0]))
+        if len(_TABLES.get((kind, n), ())) < count:  # a racing thread may store a longer one
+            _TABLES[kind, n] = table
     # copies, so that no caller can change the cached table
     return ZeroTable(n, kind, table.zeros[:count].copy(), table.residuals[:count].copy())
 

@@ -23,8 +23,8 @@ operands' representation.  Operators whose keys come from those tables, in
 their order, build the result without checking the keys again.
 
 An affine map holds read-only copies of its arrays, and keeps what depends
-only on it, each made on first use: the compound of its Jacobian per degree,
-which every pullback along it contracts, and its orientation verdict.
+only on it (maxforms._kept lists every store): the compound of its Jacobian
+per degree, which every pullback along it contracts, and its orientation.
 
 Callable operations build an expression tree of slotted nodes (sum, product,
 complex scaling, constant, harmonic wave, pullback coefficient), each one
@@ -45,6 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._kept import kept
 from .multiindex import (
     MultiIndex,
     codiff_table,
@@ -358,8 +359,8 @@ class FieldForm:
         a key outside the degree-q index set is refused by the constructor."""
         full = {tuple(k): c if isinstance(c, ScalarField) else ScalarField(c)
                 for k, c in (components or {}).items()}
-        for key in enumerate_ordered(q, N):
-            full.setdefault(key, ScalarField.constant(0.0))
+        full |= {key: ScalarField.constant(0.0)
+                 for key in enumerate_ordered(q, N) if key not in full}
         return cls(N, q, full)
 
     @classmethod
@@ -371,8 +372,7 @@ class FieldForm:
         if not full:
             raise ValueError("at least one component array required")
         proto = next(iter(full.values()))
-        for key in enumerate_ordered(q, N):
-            full.setdefault(key, proto.zero_like())
+        full |= {key: proto.zero_like() for key in enumerate_ordered(q, N) if key not in full}
         return cls(N, q, full)
 
     @classmethod
@@ -578,8 +578,7 @@ class _AffineMap(SmoothMap):
     as tau does while no map refers back to the map it inverts: dropping an
     affine map frees it without the cyclic collector.
 
-    What depends only on the map (the compound of its Jacobian per degree, its
-    orientation verdict) is kept on first use.  The store is no init field, so
+    What depends only on the map is kept in a store that is no init field, so
     a map made by `dataclasses.replace` starts with an empty one.
     """
 
@@ -595,12 +594,7 @@ class _AffineMap(SmoothMap):
                    constant_jacobian=_read_only(A.T), linear=(A, b), inverse_of=inverse_of)
 
     def _kept(self, key, make, *args):
-        """make(*args) on the first use of `key`; of threads racing on it, each
-        returns the value stored first."""
-        value = self._store.get(key)
-        if value is None:
-            value = self._store.setdefault(key, make(*args))
-        return value
+        return kept(self._store, key, make, *args)
 
     @property
     def inverse(self):
@@ -619,14 +613,11 @@ class _AffineMap(SmoothMap):
 
 def _compound(J: np.ndarray, q: int) -> np.ndarray:
     """q-th compound of J (m, n, ...): entry (I, K, ...) is the minor on rows I and
-    columns K, from one stacked determinant; by Cauchy-Binet compounds multiply.
-    It is read-only: an affine map shares it between its pullbacks."""
+    columns K, from one stacked determinant; by Cauchy-Binet compounds multiply."""
     rows, cols = (np.array(ix, dtype=int).reshape(len(ix), q) - 1
                   for ix in (enumerate_ordered(q, n) for n in J.shape[:2]))
     blocks = J[rows[:, None, :, None], cols[None, :, None, :]]  # (I, K, q, q, ...)
-    M = np.linalg.det(np.moveaxis(blocks, (2, 3), (-2, -1)))
-    M.flags.writeable = False
-    return M
+    return np.linalg.det(np.moveaxis(blocks, (2, 3), (-2, -1)))
 
 
 class _Pullback:
@@ -662,13 +653,12 @@ class _Pullback:
 
     def chained(self, j) -> FieldForm:
         """d/dv_j a(tau(v)) = sum_l J[j, l] (d_l a)(tau(v)), along an affine map."""
-        form = self.partials.get(j)
-        if form is None:
-            J = self.tau.constant_jacobian
-            form = self.partials[j] = pullback(self.tau, self.a.map_components(
-                lambda f: functools.reduce(operator.add, (float(c) * f.partial(l)
-                                                          for l, c in enumerate(J[j - 1], 1)))))
-        return form
+        return kept(self.partials, j, self._chain_ruled, j)
+
+    def _chain_ruled(self, j) -> FieldForm:
+        row = self.tau.constant_jacobian[j - 1]
+        return pullback(self.tau, self.a.map_components(lambda f: functools.reduce(
+            operator.add, (float(c) * f.partial(l) for l, c in enumerate(row, 1)))))
 
 
 class _PullbackCoefficient(ScalarField):

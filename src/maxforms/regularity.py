@@ -13,9 +13,8 @@ pairs, from one Bessel pass for all 144 radii and the angular products, so no
 (r, phi) grid is formed; the grid route is the oracle in the tests, and the
 two agree to 1e-13 relative on all four families for n <= 40 and n = 60, 70.
 The partials, their leading exponents and their angular products on the
-shell rule depend only on the label, so they are kept per process on the
-label's scalars (spectrum2d's memo, unbounded: it grows with the distinct
-labels requested); the radial values are computed per request.
+shell rule are kept on the label's scalars (maxforms._kept); the radial
+values are computed per request.
 The slope fits the deepest three shells whose energy is a normal double; the
 CLI reports |slope - (2 alpha + 2)| as slope_deviation.  For (0, n, 1, E)
 that is under 1e-4 up to n = 40 and 0.033 at n = 60, and from n = 70 only
@@ -78,8 +77,7 @@ def _ring_energies(partials: list, r: np.ndarray) -> np.ndarray:
 
 
 def _angular_products(ps) -> np.ndarray:
-    """Re<A_i, A_j> over a scalar's angular sums by the shell rule's midpoints;
-    it depends on the scalar alone, so it is kept on it."""
+    """Re<A_i, A_j> over a scalar's angular sums by the shell rule's midpoints."""
     phi = _angular_nodes(_M_PHI)
     angular = np.array([A(phi) for _, A in ps.pairs])
     return (HALF_ARC / _M_PHI) * (angular @ angular.conj().T).real

@@ -11,13 +11,11 @@ the first-order system residuals sit at evaluation accuracy instead of at a
 finite-difference floor.
 
 What depends only on an eigenform's label (q, n, m, role) and on fixed
-quadrature rules is built once per process: analytic_eigenform keeps one
-immutable mode per valid label (_EIGENFORMS, as bessel._TABLES keeps the zero
-tables), the mode keeps its Cartesian components and field form, and each
-PolarScalar keeps its Cartesian partials, its leading exponent and the angular
-reductions its consumers take on fixed rules.  Radial values are computed per
-request, so no request's numeric result is cached.  Nothing is evicted:
-memory grows with the distinct labels requested.
+quadrature rules is built once per process (maxforms._kept lists the stores):
+one immutable mode per valid label, its Cartesian components and field form,
+and each PolarScalar's Cartesian partials, leading exponent and the angular
+reductions its consumers take.  Radial values are computed per request, so no
+request's numeric result is cached.
 
 The discrete side has two routes: a finite-volume radial solver per angular
 order, and a two-dimensional mixed-boundary tensor solve, which the fast
@@ -27,6 +25,7 @@ exactly into radial solves.
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import itertools
@@ -38,6 +37,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from ._kept import kept
 from .bessel import _j_span, _with_slope, zeros_j, zeros_jprime
 from .exterior import FieldForm, ScalarField
 from .spectrum1d import _tridiagonal_eigenvalues, analytic_pair, fd_eigenvalue_closed_form
@@ -144,10 +144,8 @@ class PolarScalar:
     sum per distinct radial factor.
 
     A scalar is never changed once built, so what depends only on it is kept
-    on it when first asked for: its Cartesian partials, its leading exponent,
-    and the angular reductions its consumers take on fixed rules (`_kept`).
-    A scalar holds its partials, never the reverse, so the memo makes no
-    reference cycle.
+    on it (`_kept`, keys listed in maxforms._kept).  A scalar holds its
+    partials, never the reverse, so the memo makes no reference cycle.
     """
 
     __slots__ = ("pairs", "_memo")
@@ -160,25 +158,10 @@ class PolarScalar:
             if A.terms:
                 merged[R] = AngularPart(merged[R].terms + A.terms) if R in merged else A
         self.pairs = tuple(merged.items())
-        self._memo = None
+        self._memo = {}
 
     def _kept(self, key, make, *args):
-        """make(*args), computed once per key and kept on this scalar.
-
-        make must depend only on the scalar and on args, which the key names,
-        so two threads racing on one key store equal values.  Arrays are kept
-        read-only.
-        """
-        memo = self._memo
-        if memo is None:
-            memo = self._memo = {}
-        value = memo.get(key)
-        if value is None:
-            value = make(*args)
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            memo[key] = value
-        return value
+        return kept(self._memo, key, make, *args)
 
     def __call__(self, r, phi):
         r = np.asarray(r, dtype=float)
@@ -255,14 +238,14 @@ class PolarScalar:
             p = min(term[0] for term, _, _ in live)
             if p > top:
                 return math.inf
-            groups = {}
+            groups = collections.defaultdict(lambda: [0.0, 0.0, 0.0])
             for pair in live:
                 (power, c, factors), series, angular = pair
                 if power != p:
                     continue
                 for coeff, freq, cos_s, sin_s in angular:
                     w = c * coeff
-                    g = groups.setdefault(freq, [0.0, 0.0, 0.0])
+                    g = groups[freq]
                     g[0] += w * cos_s
                     g[1] += w * sin_s
                     # each factor of a term and each partial sum rounds at most twice
@@ -441,9 +424,7 @@ def _norm_constant(n: int, omega: float) -> float:
     return 1.0 / math.sqrt((HALF_ARC / 2.0) * radial)
 
 
-# (q, n, m, role) -> its mode, for every valid label requested so far in the
-# process, as bessel._TABLES keeps the zero tables
-_EIGENFORMS = {}
+_EIGENFORMS = {}  # (q, n, m, role) -> its mode (maxforms._kept)
 
 
 def analytic_eigenform(q: int, n: int, m: int, role: str = "E") -> HalfDiskMode:
@@ -453,12 +434,9 @@ def analytic_eigenform(q: int, n: int, m: int, role: str = "E") -> HalfDiskMode:
     partner one degree up; role selects the member.  Frame components are in
     the orthonormal polar frame, stored as exact separable sums.
 
-    A mode depends only on its label, so one is built per valid label and
-    kept for the process (_EIGENFORMS), with everything kept on it and on its
-    scalars: Cartesian components and partials, the field form, leading
-    exponents and angular reductions.  Radial values are computed per request.
-    The memo is unbounded: memory grows with the distinct labels requested.
-    A label is validated before the lookup, and an invalid one stores nothing.
+    A mode depends only on its label, so one is kept per valid label, and a
+    label is validated before the lookup, so an invalid one stores nothing
+    (maxforms._kept).  Radial values are computed per request.
     """
     if q not in (0, 1):
         raise ValueError("families are indexed by q in {0, 1}")
@@ -467,11 +445,7 @@ def analytic_eigenform(q: int, n: int, m: int, role: str = "E") -> HalfDiskMode:
     if n < 1 or m < 1:
         raise ValueError("angular and radial ranks start at 1")
     key = (int(q), operator.index(n), operator.index(m), role)
-    mode = _EIGENFORMS.get(key)
-    if mode is None:
-        # a racing thread may build the same mode; both keep the first stored
-        mode = _EIGENFORMS.setdefault(key, _build_eigenform(*key))
-    return mode
+    return kept(_EIGENFORMS, key, _build_eigenform, *key)
 
 
 def _build_eigenform(q: int, n: int, m: int, role: str) -> HalfDiskMode:
@@ -674,8 +648,7 @@ def extract_coefficients(
 
 def _angular_projection(ps: PolarScalar, letter: str, n_list, M_phi: int) -> np.ndarray:
     """<A_i, basis_k> for each pair i of ps and order k of n_list, by the
-    M_phi-point midpoint rule; it depends only on its arguments, so it is
-    kept on ps per (letter, n_list, M_phi)."""
+    M_phi-point midpoint rule."""
     phi = _angular_nodes(M_phi)
     h = HALF_ARC / M_phi
     return h * (np.array([A(phi) for _, A in ps.pairs]) @ _basis_rows(letter, n_list, phi).T)
@@ -807,9 +780,7 @@ def _merge_orders(count: int, entry) -> list:
     return merged
 
 
-# (angular term, M, bc, j) -> eigenvalue j of that radial operator, for every
-# value drawn so far in the process
-_RADIAL_VALUES = {}
+_RADIAL_VALUES = {}  # (angular term, M, bc, j) -> eigenvalue j (maxforms._kept)
 
 
 def _radial_entries(angular_of, orders, M: int, bc: str):
@@ -818,13 +789,8 @@ def _radial_entries(angular_of, orders, M: int, bc: str):
 
     Each value comes from its own index-selected bisection, so it is canonical:
     it depends only on its operator and index, not on how many are merged.
-    That lets every value drawn be kept in _RADIAL_VALUES, keyed by
-    (angular term, M, bc, j), as bessel._TABLES keeps the zeros: a hit returns
-    the very float a bisection would, so the table changes no result, only
-    which draws bisect.  One key per value, so threads that fill one operator
-    cannot misalign its indices; a race at worst bisects a value twice and
-    stores the same float.  It holds one float per value ever drawn, at most
-    2 count - 1 new ones per merge.
+    That lets every value drawn be kept, one key per value (maxforms._kept), so
+    the table changes no result, only which draws bisect.
     """
     _check_radial(M, bc)  # before any lookup, so a warm table validates as a cold one
     operator = functools.cache(lambda angular: _radial_operator(angular, M, bc))
@@ -833,12 +799,8 @@ def _radial_entries(angular_of, orders, M: int, bc: str):
         if k > orders or j >= M:
             return None
         angular = angular_of(k)
-        key = (angular, M, bc, j)
-        value = _RADIAL_VALUES.get(key)
-        if value is None:
-            diag, off = operator(angular)
-            value = _RADIAL_VALUES[key] = _tridiagonal_eigenvalues(diag, off, j, j)[0]
-        return value
+        return kept(_RADIAL_VALUES, (angular, M, bc, j),
+                    lambda: _tridiagonal_eigenvalues(*operator(angular), j, j)[0])
 
     return entry
 

@@ -1,8 +1,11 @@
-"""Shared builders for random test forms, residual measurement, and the
-out-of-place oracles of the exterior operators."""
+"""Random test forms, residual measurement, the out-of-place oracles of the
+exterior operators, and a thread race runner, shared by the tests."""
 
 import functools
 import operator
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -112,6 +115,27 @@ class ClosurePairField(ScalarField):
         return ClosurePairField(
             fn, lambda axis: ClosurePairField.harmonic(k, phase + np.pi / 2.0, a * k[axis - 1])
         )
+
+
+def race(work, count=4):
+    """[work(0), ..., work(count - 1)], each on its own thread, all released
+    together, more threads than cores and switching every microsecond.  A
+    thread that raises raises here; one that does not finish in time fails."""
+    start = threading.Barrier(count, timeout=60)
+
+    def run(i):
+        start.wait()
+        return work(i)
+
+    pool = ThreadPoolExecutor(count)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [pool.submit(run, i) for i in range(count)]
+        return [done.result(timeout=120) for done in runs]
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=False)
 
 
 def random_grid_form(N, q, rng, shape=None, spacing=None, integer=False):

@@ -6,6 +6,8 @@ scipy.special as a second, independently implemented evaluator.
 """
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -231,7 +233,7 @@ def test_newton_zeros_match_mpmath_to_roundoff(n, kind):
     assert np.max(np.abs(mine - ref) / ref) <= 1e-15
 
 
-def test_newton_polish_takes_few_passes(monkeypatch):
+def test_newton_polish_takes_few_passes(monkeypatch, empty_stores):
     # bisection from the pi/8 brackets down to roundoff would take about 50
     passes = []
     polish = bessel._polish
@@ -242,7 +244,6 @@ def test_newton_polish_takes_few_passes(monkeypatch):
         passes.append(len(calls))
         return out
 
-    monkeypatch.setattr(bessel, "_TABLES", {})
     monkeypatch.setattr(bessel, "_polish", counted)
     for n in (1, 2, 13, 60):
         zeros_j(n, 20)
@@ -262,13 +263,12 @@ def test_returned_tables_are_copies_of_the_cache():
 
 @pytest.mark.parametrize("kind", ["fn", "dfn"])
 @pytest.mark.parametrize("n", [1, 2, 7, 40])
-def test_shorter_tables_are_bit_identical_prefixes(monkeypatch, n, kind):
+def test_shorter_tables_are_bit_identical_prefixes(empty_stores, n, kind):
     zeros = zeros_j if kind == "fn" else zeros_jprime
-    monkeypatch.setattr(bessel, "_TABLES", {})
     fresh = zeros(n, 3)
-    monkeypatch.setattr(bessel, "_TABLES", {})
+    empty_stores()
     long_first = zeros(n, 20), zeros(n, 3)
-    monkeypatch.setattr(bessel, "_TABLES", {})
+    empty_stores()
     short_first = zeros(n, 3), zeros(n, 20)
     for short, long in (long_first[::-1], short_first):
         assert np.array_equal(short.zeros, fresh.zeros)
@@ -276,17 +276,38 @@ def test_shorter_tables_are_bit_identical_prefixes(monkeypatch, n, kind):
         assert np.array_equal(long.residuals[:3], fresh.residuals)
 
 
-def test_repeated_frequency_requests_do_not_scan(monkeypatch):
+def test_repeated_frequency_requests_do_not_scan(monkeypatch, empty_stores):
     from maxforms.spectrum2d import base_frequency
 
     scans = []
     scan = bessel._scan_zeros
-    monkeypatch.setattr(bessel, "_TABLES", {})
     monkeypatch.setattr(bessel, "_scan_zeros", lambda *a, **k: scans.append(a) or scan(*a, **k))
     first = base_frequency(1, 3, 4)
     assert [base_frequency(1, 3, 4) for _ in range(5)] == [first] * 5
     base_frequency(1, 3, 2)  # a shorter table is a prefix of the cached one
     assert len(scans) == 1
+
+
+def test_a_racing_shorter_table_leaves_the_longer_one(monkeypatch, empty_stores):
+    scan = bessel._scan_zeros
+    scanning, stored = threading.Event(), threading.Event()
+
+    def held_back(f, start, stop, count):
+        zs = scan(f, start, stop, count)
+        if count == 5:  # the short scan ends only once the long table is stored
+            scanning.set()
+            assert stored.wait(timeout=60)
+        return zs
+
+    monkeypatch.setattr(bessel, "_scan_zeros", held_back)
+    with ThreadPoolExecutor(1) as pool:
+        short = pool.submit(zeros_j, 9, 5)
+        assert scanning.wait(timeout=60)
+        long = zeros_j(9, 20)
+        stored.set()
+        short = short.result(timeout=60)
+    assert np.array_equal(short.zeros, long.zeros[:5])
+    assert len(bessel._TABLES["fn", 9]) == 20
 
 
 def test_zero_count_must_be_positive():

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxforms import bessel, cli, exterior, spectrum2d
+from maxforms import cli, exterior, spectrum2d
 
 
 def run(argv, capsys):
@@ -637,14 +637,9 @@ def test_output_into_a_missing_directory_exits_2(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", sorted(_REQUESTS))
-def test_repeat_runs_are_byte_identical(command, monkeypatch, capsys):
-    # the first run fills every per-process table from empty, the second reads
-    # them warm: zero tables, radial eigenvalues, the last Bessel batch and the
-    # eigenform memo
-    monkeypatch.setattr(bessel, "_TABLES", {})
-    monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", {})
-    monkeypatch.setattr(spectrum2d, "_LAST_BATCH", [(None, None)])
-    monkeypatch.setattr(spectrum2d, "_EIGENFORMS", {})
+def test_repeat_runs_are_byte_identical(command, empty_stores, capsys):
+    # the first run fills every per-process store from empty, the second reads
+    # them warm
     argv = [*_REQUESTS[command], "--format", "json"]
     code, first = run(argv, capsys)
     assert code == 0

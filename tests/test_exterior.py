@@ -2,10 +2,7 @@
 
 import gc
 import itertools
-import sys
-import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +54,7 @@ from formutil import (
     out_of_place_wedge,
     random_callable_form,
     random_grid_form,
+    race,
     radial_power,
     sample_points,
 )
@@ -979,21 +977,7 @@ def test_threads_racing_pullbacks_on_a_fresh_map_get_the_single_threaded_values(
 
     want, _ = values(SmoothMap.affine(A, b))
     tau = SmoothMap.affine(A, b)
-    start = threading.Barrier(4, timeout=60)
-
-    def race():
-        start.wait()
-        return values(tau)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(4) as pool:
-            runs = [pool.submit(race) for _ in range(4)]
-            got = [run.result(timeout=120) for run in runs]
-    finally:
-        sys.setswitchinterval(interval)
-    for out, used in got:
+    for out, used in race(lambda i: values(tau)):
         for u, v in zip(out, want, strict=True):
             np.testing.assert_array_equal(u, v, strict=True)
         assert all(M is tau._store[q] for q, M in used)

@@ -2,8 +2,6 @@ import dataclasses
 import gc
 import json
 import math
-import sys
-import threading
 import time
 from fractions import Fraction
 
@@ -41,6 +39,8 @@ from maxforms.spectrum2d import (
     trace_families,
     zaremba2d_eigensolve,
 )
+
+from formutil import race
 
 # roots of tan x = x and tan x = 2x, bisected independently in the bessel suite
 ROOT_TAN_EQ_X = 4.493409457909064
@@ -116,9 +116,10 @@ def test_polar_scalars_keep_one_angular_sum_per_radial_factor(q, n, m, role):
         assert all(A.terms for _, A in ps.pairs)
 
 
-def counted_passes(monkeypatch) -> list:
-    """(lo, hi, points) of every Bessel span pass spectrum2d makes from here
-    on, starting from an empty batch."""
+@pytest.fixture
+def passes(monkeypatch, empty_stores) -> list:
+    """(lo, hi, points) of every Bessel span pass spectrum2d makes in the
+    test, starting from empty stores."""
     passes = []
 
     def counted(lo, hi, x):
@@ -126,13 +127,11 @@ def counted_passes(monkeypatch) -> list:
         return bessel._j_span(lo, hi, x)
 
     monkeypatch.setattr(spectrum2d, "_j_span", counted)
-    monkeypatch.setattr(spectrum2d, "_LAST_BATCH", [(None, None)])
     return passes
 
 
 @pytest.mark.parametrize("label", [(0, 1, 1, "H"), (1, 3, 2, "E")])
-def test_evaluation_makes_one_bessel_pass_per_frequency(label, monkeypatch):
-    passes = counted_passes(monkeypatch)
+def test_evaluation_makes_one_bessel_pass_per_frequency(label, passes):
     n = label[1]
     comps = cartesian_components(analytic_eigenform(*label))
     partials = [ps.cartesian_partial(axis) for ps in comps.values() for axis in (1, 2)]
@@ -401,21 +400,20 @@ def test_order_stop_rule_matches_brute_force(q, count):
 
 
 @pytest.mark.parametrize("q", [0, 1])
-def test_reference_modes_compute_only_the_zeros_the_merge_can_draw(q, monkeypatch):
+def test_reference_modes_compute_only_the_zeros_the_merge_can_draw(q, empty_stores):
     zeros = zeros_j if q == 0 else zeros_jprime
-    monkeypatch.setattr(bessel, "_TABLES", {})
     full = {n: zeros(n, 60).zeros for n in range(1, 65)}
     for count in range(1, 61):
         labeled = _brute_force_merge(count, lambda n: [
             (float(z) ** 2, n, m, float(z)) for m, z in enumerate(full[n][:count], 1)
         ])
-        monkeypatch.setattr(bessel, "_TABLES", {})
+        empty_stores()
         assert reference_modes(q, count) == labeled
         # order n holds count - n + 1 zeros: a short table is a prefix of a long one
         assert all(len(table) == count - n + 1 for (_, n), table in bessel._TABLES.items())
     # count 40 opens 15 orders for q = 0 and 16 for q = 1: 495 and 520 zeros,
     # where a full table per order would take 600 and 640
-    monkeypatch.setattr(bessel, "_TABLES", {})
+    empty_stores()
     reference_modes(q, 40)
     assert sum(len(table) for table in bessel._TABLES.values()) == (495, 520)[q]
 
@@ -436,7 +434,7 @@ def test_lazy_merge_matches_brute_force_over_per_index_values(q, count, M):
 
 
 @pytest.mark.parametrize("count", [1, 2, 5, 12, 40])
-def test_lazy_merge_draws_at_most_two_entries_per_value(count, monkeypatch):
+def test_lazy_merge_draws_at_most_two_entries_per_value(count, monkeypatch, empty_stores):
     calls = []
 
     def counted(*args):
@@ -446,7 +444,7 @@ def test_lazy_merge_draws_at_most_two_entries_per_value(count, monkeypatch):
     monkeypatch.setattr(spectrum2d, "_tridiagonal_eigenvalues", counted)
     for solve in (lambda: radial_spectrum(64, count, bc="neumann"),
                   lambda: zaremba2d_eigensolve(64, 32, count).lambdas):
-        monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", {})  # count cold draws
+        empty_stores()  # count cold draws
         calls.clear()
         assert len(solve()) == count
         assert all(first == last for first, last in calls)
@@ -465,17 +463,16 @@ def _spectrum(q, M, count):
 
 @pytest.mark.parametrize("M", [16, 17, 256])
 @pytest.mark.parametrize("q", [0, 1])
-def test_a_cold_table_gives_the_warm_values(q, M, monkeypatch):
-    monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", {})
+def test_a_cold_table_gives_the_warm_values(q, M, empty_stores):
     # longest first, so that every shorter request is served by lookups alone
     warm = {count: _spectrum(q, M, count) for count in range(12, 0, -1)}
     for count in range(1, 13):
-        monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", {})
+        empty_stores()
         assert np.array_equal(_spectrum(q, M, count), warm[count])
 
 
 @pytest.mark.parametrize("q", [0, 1])
-def test_fill_order_does_not_change_the_rows(q, monkeypatch, capsys):
+def test_fill_order_does_not_change_the_rows(q, empty_stores, capsys):
     def rows(modes):
         assert cli.main(["eigen2d", "--q", str(q), "--modes", str(modes),
                          "--format", "json"]) == 0
@@ -483,9 +480,9 @@ def test_fill_order_does_not_change_the_rows(q, monkeypatch, capsys):
 
     fresh = {}
     for modes in (12, 4, 8):
-        monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", {})
+        empty_stores()
         fresh[modes] = rows(modes)
-    monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", {})
+    empty_stores()
     assert {modes: rows(modes) for modes in (12, 4, 8)} == fresh
 
 
@@ -518,26 +515,10 @@ def test_a_warm_table_still_validates(monkeypatch):
         zaremba2d_eigensolve(16, 16, 16 * 16 + 1)
 
 
-def test_threads_filling_one_operator_agree_bitwise(monkeypatch):
-    monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", {})
+def test_threads_filling_one_operator_agree_bitwise(empty_stores):
     alone = radial_spectrum(512, 12, "neumann")
-    monkeypatch.setattr(spectrum2d, "_RADIAL_VALUES", {})
-    results = [None] * 4  # more threads than cores, switching often
-
-    def fill(i):
-        results[i] = radial_spectrum(512, 12, "neumann")
-
-    threads = [threading.Thread(target=fill, args=(i,)) for i in range(len(results))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    empty_stores()
+    results = race(lambda i: radial_spectrum(512, 12, "neumann"))
     assert all(np.array_equal(got, alone) for got in results)
 
 
@@ -721,10 +702,9 @@ def test_normalization_matches_the_two_pass_route():
                 assert abs(got - want) <= 2 * np.finfo(float).eps * want, (q, n, m)
 
 
-def test_each_distinct_radial_factor_is_evaluated_once_per_node_set(monkeypatch):
+def test_each_distinct_radial_factor_is_evaluated_once_per_node_set(passes):
     from maxforms.regularity import classify
 
-    passes = counted_passes(monkeypatch)
     for q in (0, 1):
         for role in ("E", "H"):
             modes = [analytic_eigenform(q, n, m, role) for _, n, m, _ in reference_modes(q, 6)]
@@ -757,34 +737,19 @@ def factor_values(R: RadialFactor, r) -> np.ndarray:
 _BATCH_LABELS = [(0, 1, 1, "H"), (0, 4, 3, "E"), (1, 2, 1, "E"), (1, 9, 2, "H")]
 
 
-def test_cold_and_warm_batches_give_equal_values(monkeypatch):
+def test_cold_and_warm_batches_give_equal_values(empty_stores):
     r, phi = np.linspace(0.02, 0.98, 13)[:, None], np.linspace(0.1, 3.0, 5)[None, :]
     for label in _BATCH_LABELS:
         scalars = _built_scalars(analytic_eigenform(*label))
         warm = [ps(r, phi) for ps in scalars]  # one batch serves all but the first
         for ps, want in zip(scalars, warm):
-            monkeypatch.setattr(spectrum2d, "_LAST_BATCH", [(None, None)])
+            empty_stores()
             assert np.array_equal(ps(r, phi), want), label
             for R, _ in ps.pairs:
                 assert np.array_equal(R(r), factor_values(R, r)), (label, R)
 
 
-def _run_threads(work, count):
-    """work(i) on count threads, more than the cores, switching often."""
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-
-
-def test_threads_sharing_one_point_set_agree_bitwise(monkeypatch):
+def test_threads_sharing_one_point_set_agree_bitwise(empty_stores):
     points = np.random.default_rng(5).uniform(0.05, 0.95, (2, 40))
     fields = [to_field_form(analytic_eigenform(*label)) for label in _BATCH_LABELS]
 
@@ -797,34 +762,53 @@ def test_threads_sharing_one_point_set_agree_bitwise(monkeypatch):
         return all(np.array_equal(a, b) for gs, ws in zip(got, want) for a, b in zip(gs, ws))
 
     alone = [evaluate_all(form) for form in fields]
-    monkeypatch.setattr(spectrum2d, "_LAST_BATCH", [(None, None)])
-    results = [None] * len(fields)
-
-    def work(i):
-        results[i] = evaluate_all(fields[i])
-
-    _run_threads(work, len(fields))
+    empty_stores()
+    results = race(lambda i: evaluate_all(fields[i]), len(fields))
     for got, want in zip(results, alone):
         assert same(got, want)
 
     # with the memo cold, every thread builds every label, in its own order, so
     # the threads race to fill the memo and the partial caches of its forms
-    monkeypatch.setattr(spectrum2d, "_EIGENFORMS", {})
-    monkeypatch.setattr(spectrum2d, "_LAST_BATCH", [(None, None)])
-    built = [None] * len(fields)
+    empty_stores()
 
     def build_and_work(i):
         order = _BATCH_LABELS[i:] + _BATCH_LABELS[:i]
         modes = {label: analytic_eigenform(*label) for label in order}
-        built[i] = modes
-        results[i] = {label: evaluate_all(to_field_form(mode)) for label, mode in modes.items()}
+        return modes, {label: evaluate_all(to_field_form(mode)) for label, mode in modes.items()}
 
-    _run_threads(build_and_work, len(fields))
+    runs = race(build_and_work, len(fields))
     assert len(spectrum2d._EIGENFORMS) == len(_BATCH_LABELS)
-    for modes, got in zip(built, results):
+    for modes, got in runs:
         for label, want in zip(_BATCH_LABELS, alone):
             assert modes[label] is spectrum2d._EIGENFORMS[label]  # the first stored
             assert same(got[label], want), label
+
+
+def test_threads_racing_on_one_scalar_get_the_value_it_keeps(empty_stores, monkeypatch):
+    # every value a scalar hands out, recorded as (scalar, key, value)
+    handed = []
+    keep = PolarScalar._kept
+
+    def recorded(ps, key, make, *args):
+        value = keep(ps, key, make, *args)
+        handed.append((ps, key, value))
+        return value
+
+    monkeypatch.setattr(PolarScalar, "_kept", recorded)
+    mode = analytic_eigenform(1, 3, 2, "E")
+    scalars = [*mode.parts.values(), *cartesian_components(mode).values()]
+
+    def work(i):
+        for ps in scalars[i % 2:] + scalars[:i % 2]:
+            ps.cartesian_partial(1).leading_exponent()
+            ps.leading_exponent()
+        extract_coefficients(mode, range(1, 9))
+
+    race(work)
+    assert {key for _, key, _ in handed} >= {("partial", 1), "exponent"}
+    assert any(key[0] == "projection" for _, key, _ in handed)
+    for ps, key, value in handed:
+        assert value is ps._memo.get(key), key
 
 
 # ---------------------------------------------------------------------------
@@ -857,8 +841,7 @@ def _bitwise_equal(a, b) -> bool:
 
 
 @pytest.mark.parametrize("label", _MEMO_LABELS, ids=lambda label: "{}-{}-{}-{}".format(*label))
-def test_cold_and_warm_memo_give_bitwise_equal_results(label, monkeypatch):
-    monkeypatch.setattr(spectrum2d, "_EIGENFORMS", {})
+def test_cold_and_warm_memo_give_bitwise_equal_results(label, empty_stores):
     cold = _consumers(*label)
     assert label in spectrum2d._EIGENFORMS
     warm = _consumers(*label)
@@ -889,8 +872,7 @@ def test_a_returned_mode_is_immutable():
         copy.parts["rho"] = mode.parts["tau"]
 
 
-def test_invalid_labels_raise_and_store_nothing(monkeypatch):
-    monkeypatch.setattr(spectrum2d, "_EIGENFORMS", {})
+def test_invalid_labels_raise_and_store_nothing(empty_stores):
     for label in [(2, 1, 1, "E"), (-1, 1, 1, "E"), (0, 0, 1, "E"), (0, 1, 0, "E"),
                   (1, 1, -3, "H"), (0, 1, 1, "X"), (0, 1, 1, "e")]:
         with pytest.raises(ValueError):
@@ -904,9 +886,9 @@ def test_invalid_labels_raise_and_store_nothing(monkeypatch):
     assert list(spectrum2d._EIGENFORMS) == [(1, 2, 1, "E")]
 
 
-def test_the_memo_leaves_nothing_for_the_cyclic_collector(monkeypatch):
+def test_the_memo_leaves_nothing_for_the_cyclic_collector(empty_stores):
     _consumers(1, 2, 1, "E")  # fills the index tables' and rules' caches
-    monkeypatch.setattr(spectrum2d, "_EIGENFORMS", {})
+    empty_stores()
     gc.collect()
     gc.disable()
     try:
@@ -914,7 +896,7 @@ def test_the_memo_leaves_nothing_for_the_cyclic_collector(monkeypatch):
             _consumers(*label)
             _consumers(*label)
         # emptying the memo drops its modes: each must be freed by its count
-        spectrum2d._EIGENFORMS.clear()
+        empty_stores()
         found = gc.collect()
     finally:
         gc.enable()
