@@ -12,14 +12,14 @@ store grows with the distinct keys asked for.  The stores (key -> value):
   -> an angular projection, "ring products" -> the shells' Gram matrix.
 - _AffineMap._store, per map: degree q -> the compound of its Jacobian,
   "oriented" -> its orientation verdict; any other SmoothMap keeps nothing.
-- _Pullback.partials, per affine pullback: source axis -> the pullback of
-  the chain-ruled partials.
 
 Kept apart, each for a reason:
 
 - bessel._TABLES, (kind, n) -> a zero table: the longest wins, since a
   short table is a bit-identical prefix of a long one.
-- spectrum2d._LAST_BATCH and _Pullback.last: one slot each; the last point
+- spectrum2d._LAST_BATCH and _Pullback.last, the slot of a pullback's
+  chain-rule evaluator (tau(v), the leaf partial values and the coefficient
+  rows of every derivative asked for at v): one slot each; the last point
   batch wins.
 - ScalarField._cache, axis -> partial, lazy on the node algebra's hot path:
   a lost race costs nothing, since no code relies on which partial object

@@ -27,12 +27,17 @@ only on it (maxforms._kept lists every store): the compound of its Jacobian
 per degree, which every pullback along it contracts, and its orientation.
 
 Callable operations build an expression tree of slotted nodes (sum, product,
-complex scaling, constant, harmonic wave, pullback coefficient), each one
-object whose evaluation and derivative rule are methods of its class, so
-building a form allocates few objects for the cyclic garbage collector and
-creates no reference cycles.  Grid sums accumulate in place: the first term's
-new array takes each later term, written into one spare array per operation,
-by an add or a subtract, with values equal to those of summing signed copies.
+complex scaling, constant, harmonic wave, the exact zero, pullback
+coefficient), each one object whose evaluation and derivative rule are methods
+of its class, so building a form allocates few objects for the cyclic garbage
+collector and creates no reference cycles.  The zero is one node, which sums
+and products fold away by identity as a form is built.  The partials of any
+order of a pullback along an affine map go through one chain-rule evaluator
+per pullback, which evaluates each leaf partial once per point batch.
+
+Grid sums accumulate in place: the first term's new array takes each later
+term, written into one spare array per operation, by an add or a subtract,
+with values equal to those of summing signed copies.
 """
 
 from __future__ import annotations
@@ -73,7 +78,9 @@ class ScalarField:
     object holding its operands (the leaf slots of those names stay empty in a
     node).  Each node evaluates its operands' `fn` in the order the closures
     did, so values do not depend on the representation.  The partial cache is
-    made on first use.
+    made on first use.  The exact zero (`zero_like`) is one node: a sum drops
+    it and a product or scaling of it is itself, so folding x + 0 into x
+    changes at most the sign of a zero value.
     """
 
     __slots__ = ("fn", "partial_rule", "_cache")
@@ -98,14 +105,14 @@ class ScalarField:
         return out
 
     def zero_like(self) -> "ScalarField":
-        return ScalarField.constant(0.0)
+        return _ZERO
 
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, ScalarField):
             return NotImplemented
-        return _Sum(self, other)
+        return self if other is _ZERO else _Sum(self, other)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -115,7 +122,7 @@ class ScalarField:
 
     def __mul__(self, other):
         if isinstance(other, ScalarField):
-            return _Product(self, other)
+            return _ZERO if other is _ZERO else _Product(self, other)
         c = complex(other)
         if c == 1.0:  # most signs in hodge, ext_d and the transforms are +1
             return self
@@ -127,7 +134,9 @@ class ScalarField:
 
     @staticmethod
     def constant(c):
-        return _Constant(complex(c))
+        """The field c; c = 0 gives the exact zero."""
+        c = complex(c)
+        return _Constant(c) if c else _ZERO
 
     @staticmethod
     def harmonic(freqs, phase=0.0, amp=1.0):
@@ -194,7 +203,36 @@ class _Constant(ScalarField):
         return self.c
 
     def partial_rule(self, axis):
-        return _Constant(0j)
+        return _ZERO
+
+
+class _Zero(ScalarField):
+    """The exact zero, one instance: its value is complex zeros of the batch's
+    shape, as a wave of amplitude 0 gives, and it is its own partial."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        self._cache = None
+
+    def fn(self, x):
+        return np.zeros(x.shape[1:], complex)
+
+    def partial(self, axis):
+        return self
+
+    def __add__(self, other):
+        return other if isinstance(other, ScalarField) else NotImplemented
+
+    def __mul__(self, other):
+        if not isinstance(other, ScalarField):
+            complex(other)  # scaling by what is no number still fails
+        return self
+
+    __rmul__ = __mul__
+
+
+_ZERO = _Zero()
 
 
 class _Harmonic(ScalarField):
@@ -212,13 +250,17 @@ class _Harmonic(ScalarField):
 
     def fn(self, x):
         arg = self.phase
+        # at a point, Python floats: the IEEE operations of numpy's scalars, faster
+        coords = x.tolist() if x.ndim == 1 else x
         for i, c in self.terms:
-            arg = arg + c * x[i]
+            arg = arg + c * coords[i]
         return self.amp * np.cos(arg)
 
     def partial_rule(self, axis):
-        return _Harmonic(self.k, self.terms, self.phase + np.pi / 2.0,
-                         self.amp * self.k[axis - 1])
+        c = self.k[axis - 1]
+        if c == 0:
+            return _ZERO
+        return _Harmonic(self.k, self.terms, self.phase + np.pi / 2.0, self.amp * c)
 
 
 def _central_difference(f: ScalarField, axis: int) -> ScalarField:
@@ -407,10 +449,14 @@ class FieldForm:
 
 
 def evaluate(form: FieldForm, x) -> dict:
-    """Component values of a callable form at a point, keyed by multi-index."""
+    """Component values of a callable form at one point x of shape (N,), keyed
+    by multi-index."""
     if form.kind == "grid":
         raise ValueError("evaluate is for callable forms; read grid components directly")
-    return {k: complex(v(x)) for k, v in form.components.items()}
+    x = np.asarray(x, dtype=float)
+    if x.shape != (form.N,):
+        raise ValueError(f"evaluate takes one point of shape ({form.N},), not shape {x.shape}")
+    return {k: complex(v.fn(x)) for k, v in form.components.items()}
 
 
 def _partial(f, axis, out=None):
@@ -439,7 +485,7 @@ def _sum_table(N: int, q: int, table, term, *operands: FieldForm) -> FieldForm:
     out-of-place sum, without its negated copies; operands are never written.
     """
     fields = [v for f in operands for v in f.components.values()]
-    zero = fields[0].zero_like if fields else functools.partial(ScalarField.constant, 0.0)
+    zero = (fields[0] if fields else _ZERO).zero_like
     in_place = (bool(fields) and isinstance(fields[0], GridScalar)
                 and len({v.values.dtype for v in fields}) == 1)
     spare = None
@@ -622,66 +668,98 @@ def _compound(J: np.ndarray, q: int) -> np.ndarray:
 
 class _Pullback:
     """The shared evaluator of one pullback: the compound of the Jacobian
-    contracted with all components of `a`, kept for the last point batch."""
+    contracted with all components of `a` and, along an affine map, with their
+    chain-ruled partials of any order, kept for the last point batch."""
 
-    __slots__ = ("tau", "a", "fixed", "last", "partials")
+    __slots__ = ("tau", "a", "fixed", "last")
 
     def __init__(self, tau, a, fixed):
         self.tau = tau
         self.a = a
         self.fixed = fixed  # M[K, I], K over target indices; None along a curved map
-        self.last = (None, None)  # (key, coefficient rows) of the last batch, read as one pair
-        self.partials = {}  # source axis -> pullback of the chain-ruled partials
+        # (key, (tau(v), leaf values, coefficient rows)) of the last batch, read as
+        # one pair; the leaf values and the rows are keyed by their axes
+        self.last = (None, None)
 
-    def rows(self, v):
+    def rows(self, v, axes=()):
+        """The coefficients' partials along the source axes `axes`, the first
+        taken first, at v; read-only, since rows go out as views."""
         key = (v.shape, v.tobytes())
-        seen, out = self.last
+        seen, batch = self.last
         if seen != key:
-            a, tau = self.a, self.tau
-            y = tau(v)
-            vals = np.empty((len(a.components),) + v.shape[1:], dtype=complex)
-            for k, f in enumerate(a.components.values()):
-                vals[k] = f(y)
+            batch = (self.tau(v), {}, {})
+            self.last = key, batch
+        y, leaves, rows = batch
+        out = rows.get(axes)
+        if out is None:
+            a = self.a
+            vals = np.zeros((len(a.components),) + v.shape[1:], dtype=complex)
+            for k, value in enumerate(self._chain_rule(y, leaves, axes, ())):
+                if value is not None:
+                    vals[k] = value
             M = self.fixed
             if M is None:
-                M = _compound(np.swapaxes(tau.jac(v), 0, 1), a.q)
+                M = _compound(np.swapaxes(self.tau.jac(v), 0, 1), a.q)
             M = M.reshape(M.shape + (1,) * (vals.ndim + 1 - M.ndim))
             out = (M * vals[:, None]).sum(axis=0)  # over K in one order, batch or point
-            out.flags.writeable = False  # rows go out as views
-            self.last = key, out
+            out.flags.writeable = False
+            rows[axes] = out
         return out
 
-    def chained(self, j) -> FieldForm:
-        """d/dv_j a(tau(v)) = sum_l J[j, l] (d_l a)(tau(v)), along an affine map."""
-        return kept(self.partials, j, self._chain_ruled, j)
+    def _chain_rule(self, y, leaves, axes, outer):
+        """Per component a_K, d/dv_j1 ... d/dv_jd (a_K.partial(l) for l in outer)
+        at y = tau(v), for axes = (j1, ..., jd); None where it is the exact zero.
 
-    def _chain_ruled(self, j) -> FieldForm:
-        row = self.tau.constant_jacobian[j - 1]
-        return pullback(self.tau, self.a.map_components(lambda f: functools.reduce(
-            operator.add, (float(c) * f.partial(l) for l, c in enumerate(row, 1)))))
+        By the chain rule it is the sum over l, left to right, of J[jd, l] times
+        the partial along the axes before jd with l put in front of `outer`, so
+        the first axis's sum is innermost, as the partials of pullbacks of
+        chain-ruled forms would nest.  Each term is scaled unless its factor is
+        1.0, as `ScalarField.__mul__` does, and an exact zero is skipped, as `+`
+        folds it.  The leaf partials a_K.partial(l1)...partial(ld) are evaluated
+        once per batch, whichever axes ask for them.
+        """
+        if not axes:
+            vals = leaves.get(outer)
+            if vals is None:
+                fields = self.a.components.values()
+                for l in outer:
+                    fields = [f.partial(l) for f in fields]
+                vals = leaves[outer] = [None if f is _ZERO else f.fn(y) for f in fields]
+            return vals
+        inner, j = axes[:-1], axes[-1]
+        acc = [None] * len(self.a.components)
+        for l, c in enumerate(self.tau.constant_jacobian[j - 1], 1):
+            c = complex(c)
+            for k, value in enumerate(self._chain_rule(y, leaves, inner, (l,) + outer)):
+                if value is not None:
+                    if c != 1.0:
+                        value = c * value
+                    acc[k] = value if acc[k] is None else acc[k] + value
+        return acc
 
 
 class _PullbackCoefficient(ScalarField):
-    """Coefficient I (row i) of a pullback; along a curved map it has no rule."""
+    """Row i of a pullback's coefficients, or of their partials along the source
+    axes `axes`; along a curved map it has no rule (and no axes)."""
 
-    __slots__ = ("pull", "i", "I")
+    __slots__ = ("pull", "i", "axes")
     partial_rule = None
 
-    def __init__(self, pull, i, I):
+    def __init__(self, pull, i, axes=()):
         self.pull = pull
         self.i = i
-        self.I = I
+        self.axes = axes
         self._cache = None
 
     def fn(self, v):
-        return self.pull.rows(v)[self.i]
+        return self.pull.rows(v, self.axes)[self.i]
 
 
 class _AffinePullbackCoefficient(_PullbackCoefficient):
     __slots__ = ()
 
     def partial_rule(self, j):
-        return self.pull.chained(j).components[self.I]
+        return _AffinePullbackCoefficient(self.pull, self.i, self.axes + (j,))
 
 
 def pullback(tau: SmoothMap, a: FieldForm) -> FieldForm:
@@ -691,8 +769,8 @@ def pullback(tau: SmoothMap, a: FieldForm) -> FieldForm:
     components of `a`, evaluated once per point batch, and keeps the last batch:
     each coefficient reads its row, so nested pullbacks cost linear in depth.
     Along an affine map the compound is constant, kept by the map per degree,
-    and the coefficients differentiate exactly: their partials are pullbacks of
-    chain-ruled partials.
+    and the coefficients differentiate exactly: a partial of any order reads
+    its row from the same evaluator, which chain-rules the partials of `a`.
     """
     if a.kind == "grid":
         raise ValueError("pullback needs the callable representation")
@@ -704,7 +782,7 @@ def pullback(tau: SmoothMap, a: FieldForm) -> FieldForm:
     J = tau.constant_jacobian
     pull = _Pullback(tau, a, None if J is None else tau._kept(q, _compound, J.T, q))
     node = _PullbackCoefficient if J is None else _AffinePullbackCoefficient
-    return FieldForm._of_ordered(N_src, q, {I: node(pull, i, I)
+    return FieldForm._of_ordered(N_src, q, {I: node(pull, i)
                                             for i, I in enumerate(enumerate_ordered(q, N_src))})
 
 

@@ -1,5 +1,6 @@
 """Random test forms, residual measurement, the out-of-place oracles of the
-exterior operators, and a thread race runner, shared by the tests."""
+exterior operators and of pullback partials, and a thread race runner, shared
+by the tests."""
 
 import functools
 import operator
@@ -9,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from maxforms.exterior import FieldForm, GridScalar, ScalarField, evaluate, hodge
+from maxforms.exterior import FieldForm, GridScalar, ScalarField, evaluate, hodge, pullback
 from maxforms.multiindex import (
     codiff_table,
     derivative_table,
@@ -234,3 +235,19 @@ def out_of_place_wedge(a, b):
     return out_of_place_sum(a.N, a.q + b.q, wedge_table(a.q, b.q, a.N),
                             lambda I, J, sign: sign * (a.components[I] * b.components[J]),
                             a, b)
+
+
+# -- the chain-ruled pullback route ----------------------------------------------
+
+
+def chain_ruled_pullback(tau, a, axes=()):
+    """Oracle of the partials of pullback(tau, a) along an affine tau, taken
+    along the source axes `axes`, the first taken first: for each j in turn,
+    d/dv_j a(tau(v)) = sum_l J[j, l] (d_l a)(tau(v)), so the pullback of the
+    form whose components are the trees sum_l J[j, l] * a_K.partial(l), summed
+    left to right by `+` and scaled by `*`."""
+    for j in axes:
+        row = tau.constant_jacobian[j - 1]
+        a = a.map_components(lambda f: functools.reduce(
+            operator.add, (float(c) * f.partial(l) for l, c in enumerate(row, 1))))
+    return pullback(tau, a)

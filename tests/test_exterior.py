@@ -1,5 +1,6 @@
 """Exterior algebra and calculus on box forms, both representations."""
 
+import functools
 import gc
 import itertools
 from collections import Counter
@@ -15,6 +16,7 @@ from maxforms.exterior import (
     ScalarField,
     SmoothMap,
     _compound,
+    _ZERO,
     _PullbackCoefficient,
     _Scaled,
     codiff,
@@ -43,6 +45,7 @@ from maxforms.spectrum2d import maxwell_residual_2d
 
 from formutil import (
     ClosurePairField,
+    chain_ruled_pullback,
     coordinate,
     form_max_abs,
     form_max_diff,
@@ -544,6 +547,136 @@ def test_nested_pullbacks_evaluate_each_leaf_once_per_batch():
         # four nested pullbacks, yet one call per leaf, not C(4, 2)^4
         assert calls == Counter(dict.fromkeys(a.components, 1))
     assert form_max_diff(out, a, sample_points(4, RNG)) < 1e-12
+
+
+# -- the chain-rule evaluator and the exact zero -------------------------------
+
+
+def _form_with_flat_axes(N, q, rng):
+    """A random form whose waves each have one zero-frequency axis, beside a
+    wave with all frequencies drawn, so that some leaf partials are zero."""
+    def field():
+        k = rng.integers(-2, 3, N)
+        k[rng.integers(N)] = 0
+        flat = ScalarField.harmonic(k, rng.uniform(0.0, 2.0 * np.pi), rng.normal() + 1j)
+        return flat + ScalarField.harmonic(rng.integers(-1, 2, N), rng.uniform(0.0, 6.0),
+                                           1j * rng.normal() - 0.5)
+
+    return FieldForm.from_callable(N, q, {I: field() for I in enumerate_ordered(q, N)})
+
+
+def _chain_ruled_leaves(tau, a, axes=()):
+    """pullback(tau, a) as leaves whose values and partials of every order are
+    those of the chain-ruled route."""
+    pulled = chain_ruled_pullback(tau, a, axes)
+    return FieldForm(pulled.N, pulled.q, {
+        I: ScalarField(f.fn, lambda j, I=I: _chain_ruled_leaves(tau, a, axes + (j,)).components[I])
+        for I, f in pulled.components.items()})
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_pullback_partials_equal_the_chain_ruled_route_bitwise(N):
+    rng = np.random.default_rng(1100 + N)
+    tau = _random_spd_affine(N, rng)
+    X = rng.uniform(0.2, 0.8, (N, 5))
+    for q in range(N + 1):
+        for a in (random_callable_form(N, q, rng, max_freq=1), _form_with_flat_axes(N, q, rng)):
+            pulled = pullback(tau, a)
+            axes_list = [(j,) for j in range(1, N + 1)]
+            axes_list += [(j, k) for j in range(1, N + 1) for k in range(1, N + 1)]
+            pairs = [(ext_d(ext_d(pulled)), ext_d(ext_d(_chain_ruled_leaves(tau, a))))]
+            for axes in axes_list:
+                got = {I: functools.reduce(ScalarField.partial, axes, f)
+                       for I, f in pulled.components.items()}
+                pairs.append((FieldForm(N, q, got), chain_ruled_pullback(tau, a, axes)))
+            for x in (X[:, 0], X[:, 3], X):
+                for got, want in pairs:
+                    for I, f in got.components.items():
+                        np.testing.assert_array_equal(np.asarray(f(x)),
+                                                      np.asarray(want.components[I](x)),
+                                                      strict=True)
+
+
+def test_ext_d_of_a_pullback_evaluates_each_leaf_partial_once_per_batch():
+    calls = Counter()
+
+    def counted(name, f):
+        def fn(x):
+            calls[name] += 1
+            return f.fn(x)
+
+        return ScalarField(fn, lambda l: counted(name + (l,), f.partial(l)))
+
+    N = 4
+    base = random_callable_form(N, 2, RNG)
+    a = FieldForm.from_callable(N, 2, {I: counted((I,), f) for I, f in base.components.items()})
+    tau = _random_spd_affine(N, RNG)
+    d_pulled = ext_d(pullback(tau, a))
+    for batch in (RNG.uniform(0.2, 0.8, (N, 5)), RNG.uniform(0.2, 0.8, N)):
+        calls.clear()
+        for f in d_pulled.components.values():
+            f(batch)
+        # every partial of every component, once, though N source axes ask for each
+        assert calls == Counter({(I, l): 1 for I in a.components for l in range(1, N + 1)})
+
+
+def test_the_exact_zero_folds_and_evaluates_to_complex_zeros():
+    assert ScalarField.harmonic([0, 1]).partial(1) is _ZERO
+    assert ScalarField.harmonic([0, 1]).partial(2) is not _ZERO
+    f = ScalarField.harmonic([1.0, -2.0], 0.3, 1.0 - 0.5j)
+    assert f + _ZERO is f and _ZERO + f is f
+    assert _ZERO * f is _ZERO and f * _ZERO is _ZERO
+    assert 2.5j * _ZERO is _ZERO and _ZERO * 3.0 is _ZERO and -_ZERO is _ZERO
+    assert f * 0.0 is not _ZERO  # only the exact zero folds, by identity
+    with pytest.raises(TypeError):
+        _ZERO * None
+    assert ScalarField.constant(2.0).partial(1) is _ZERO
+    assert ScalarField.constant(0.0) is _ZERO and f.zero_like() is _ZERO
+    assert FieldForm.from_callable(2, 1, {(1,): f}).components[(2,)] is _ZERO
+    assert _ZERO.partial(2) is _ZERO
+    point = _ZERO(np.array([0.3, 0.7]))
+    assert point == 0j and point.shape == () and point.dtype == complex
+    batch = _ZERO(RNG.uniform(0.2, 0.8, (2, 6)))
+    np.testing.assert_array_equal(batch, np.zeros(6, complex), strict=True)
+
+
+def test_threads_racing_on_one_pullbacks_partials_read_the_serial_values():
+    """4 threads, each at its own points, evaluate the partials of one pullback,
+    which keeps one batch: each must read its own batch's values bitwise."""
+    N = 3
+    rng = np.random.default_rng(41)
+    tau = _random_spd_affine(N, rng)
+    a = _form_with_flat_axes(N, 1, rng)
+    points = [[rng.uniform(0.2, 0.8, N), rng.uniform(0.2, 0.8, (N, 4))] for _ in range(4)]
+
+    def partials(pulled):
+        fields = list(pulled.components.values())
+        return ([f.partial(j) for f in fields for j in range(1, N + 1)]
+                + [f.partial(j).partial(k) for f in fields for j in (1, 3) for k in (2, 3)])
+
+    serial = [[[np.asarray(f(x)) for f in partials(pullback(tau, a))] for x in xs]
+              for xs in points]
+    shared = partials(pullback(tau, a))
+
+    def work(i):
+        turn = 7 * i  # each thread takes the partials in its own order
+        fields = shared[turn:] + shared[:turn]
+        for _ in range(50):
+            for x, want in zip(points[i], serial[i], strict=True):
+                for f, v in zip(fields, want[turn:] + want[:turn], strict=True):
+                    np.testing.assert_array_equal(np.asarray(f(x)), v, strict=True)
+        return i
+
+    assert race(work) == [0, 1, 2, 3]
+
+
+def test_evaluate_takes_exactly_one_point_of_the_forms_dimension():
+    a = random_callable_form(2, 1, RNG)
+    assert set(evaluate(a, [0.3, 0.4])) == {(1,), (2,)}
+    with pytest.raises(ValueError, match=r"shape \(2,\), not shape \(3,\)"):
+        evaluate(a, np.array([0.3, 0.4, 0.5]))
+    with pytest.raises(ValueError, match=r"not shape \(2, 5\)"):
+        evaluate(a, RNG.uniform(0.2, 0.8, (2, 5)))
 
 
 # -- grid fast paths against the plain formulas -------------------------------
