@@ -6,7 +6,8 @@ store grows with the distinct keys asked for.  The stores (key -> value):
 
 - spectrum2d._EIGENFORMS: (q, n, m, role) -> the label's immutable mode.
 - spectrum2d._RADIAL_VALUES: (angular term, M, bc, j) -> eigenvalue j of
-  that radial operator, from its own index-selected bisection.
+  that radial operator, from its own index-selected bisection; read by
+  radial_spectrum, zaremba2d_eigensolve and radial_eigensolve.
 - PolarScalar._memo, per scalar: ("partial", axis) -> a Cartesian partial,
   "exponent" -> the leading exponent, ("projection", letter, orders, M_phi)
   -> an angular projection, "ring products" -> the shells' Gram matrix.

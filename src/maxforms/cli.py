@@ -142,6 +142,8 @@ def _grid_pair(text: str):
         mr, mphi = (int(p) for p in parts)
     except ValueError:
         raise ValueError("grid entries must be integers") from None
+    if mr < 1 or mphi < 1:
+        raise ValueError("grid entries must be positive")
     return mr, mphi
 
 

@@ -739,15 +739,6 @@ def _radial_operator(angular, M: int, bc: str):
     return diag / (h * r), -idx[:-1] / (h * np.sqrt(r[:-1] * r[1:]))
 
 
-def radial_eigensolve(n: int, M: int, count: int, bc: str = "dirichlet") -> RadialSolve:
-    """The lowest count finite-volume eigenvalues of the order nu = n - 1/2
-    radial operator, from one bisection over that index range."""
-    diag, off = _radial_operator((n - 0.5) ** 2, M, bc)
-    if not 1 <= count <= M:
-        raise ValueError("count must be between 1 and M")
-    return RadialSolve(lambdas=_tridiagonal_eigenvalues(diag, off, 0, count - 1))
-
-
 def _merge_orders(count: int, entry) -> list:
     """The count smallest entries over angular orders k = 1, 2, ..., merged lazily.
 
@@ -784,8 +775,8 @@ _RADIAL_VALUES = {}  # (angular term, M, bc, j) -> eigenvalue j (maxforms._kept)
 
 
 def _radial_entries(angular_of, orders, M: int, bc: str):
-    """entry(k, j) for the merge: eigenvalue j of the radial operator with
-    angular term angular_of(k), for orders k up to orders.
+    """entry(k, j) for the merge or radial_eigensolve: eigenvalue j of the
+    radial operator with angular term angular_of(k), for orders k up to orders.
 
     Each value comes from its own index-selected bisection, so it is canonical:
     it depends only on its operator and index, not on how many are merged.
@@ -803,6 +794,18 @@ def _radial_entries(angular_of, orders, M: int, bc: str):
                     lambda: _tridiagonal_eigenvalues(*operator(angular), j, j)[0])
 
     return entry
+
+
+def radial_eigensolve(n: int, M: int, count: int, bc: str = "dirichlet") -> RadialSolve:
+    """The lowest count finite-volume eigenvalues of the order nu = n - 1/2
+    radial operator: order n's kept entries, the values radial_spectrum draws."""
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("angular orders start at 1")
+    entry = _radial_entries(lambda _: (n - 0.5) ** 2, 1, M, bc)
+    if not 1 <= count <= M:
+        raise ValueError("count must be between 1 and M")
+    return RadialSolve(lambdas=np.array([entry(1, j) for j in range(count)]))
 
 
 def radial_spectrum(M: int, count: int, bc: str = "dirichlet") -> np.ndarray:

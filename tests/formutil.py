@@ -1,6 +1,6 @@
 """Random test forms, residual measurement, the out-of-place oracles of the
-exterior operators and of pullback partials, and a thread race runner, shared
-by the tests."""
+exterior operators and of pullback partials, the per-index radial eigenvalue
+oracle, and a thread race runner, shared by the tests."""
 
 import functools
 import operator
@@ -19,7 +19,8 @@ from maxforms.multiindex import (
     wedge_table,
 )
 from maxforms.regularity import _M_PHI
-from maxforms.spectrum2d import HALF_ARC, _angular_nodes, _on_grid
+from maxforms.spectrum1d import _tridiagonal_eigenvalues
+from maxforms.spectrum2d import HALF_ARC, _angular_nodes, _on_grid, _radial_operator
 
 
 def coordinate(axis):
@@ -175,6 +176,12 @@ def form_max_diff(a, b, points):
         for k in keys:
             worst = max(worst, abs(va.get(k, 0.0) - vb.get(k, 0.0)))
     return worst
+
+
+def per_index(angular, M, count, bc):
+    """The lowest min(count, M) radial eigenvalues, one bisection per index."""
+    diag, off = _radial_operator(angular, M, bc)
+    return [_tridiagonal_eigenvalues(diag, off, j, j)[0] for j in range(min(count, M))]
 
 
 def interior(values: np.ndarray, margin: int) -> np.ndarray:

@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxforms import cli, exterior, spectrum2d
+from maxforms import cli, exterior
+
+from formutil import per_index
 
 
 def run(argv, capsys):
@@ -135,11 +137,7 @@ def test_eigen2d_radial_route_serves_more_modes_than_radial_cells(capsys):
     assert code == 0
     got = [row["lambda_num"] for row in json.loads(out)["results"]["modes"]]
     # every value of the merge comes from its own index-selected bisection
-    pooled = [
-        spectrum2d._tridiagonal_eigenvalues(
-            *spectrum2d._radial_operator((n - 0.5) ** 2, 16, "neumann"), j, j)[0]
-        for n in range(1, 18) for j in range(16)
-    ]
+    pooled = [lam for n in range(1, 18) for lam in per_index((n - 0.5) ** 2, 16, 16, "neumann")]
     assert got == sorted(pooled)[:17]
 
 
@@ -466,10 +464,15 @@ def test_every_subcommand_names_a_dominant_size():
 
 
 def test_malformed_grid_exits_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["eigen2d", "--grid", "10,20,30"])
-    assert err.value.code == 2
-    capsys.readouterr()
+    # a non-positive entry is refused on both routes, also where the radial
+    # route reads only M_r
+    requests = [["--grid", "10,20,30"]] + [
+        ["--q", q, "--grid", grid] for q in ("0", "1") for grid in ("16,0", "16,-3")]
+    for request in requests:
+        with pytest.raises(SystemExit) as err:
+            cli.main(["eigen2d", *request])
+        assert err.value.code == 2
+        assert "error: argument --grid" in capsys.readouterr().err
 
 
 # every integer option of every subcommand, at 0 and -1; --q and --seed take 0

@@ -40,7 +40,7 @@ from maxforms.spectrum2d import (
     zaremba2d_eigensolve,
 )
 
-from formutil import race
+from formutil import per_index, race
 
 # roots of tan x = x and tan x = 2x, bisected independently in the bessel suite
 ROOT_TAN_EQ_X = 4.493409457909064
@@ -379,12 +379,6 @@ def _brute_force_merge(count, rows_of, orders=math.inf):
     return sorted(rows)[:count]
 
 
-def _per_index(angular, M, count, bc):
-    """The lowest min(count, M) radial eigenvalues, one bisection per index."""
-    diag, off = _radial_operator(angular, M, bc)
-    return [_tridiagonal_eigenvalues(diag, off, j, j)[0] for j in range(min(count, M))]
-
-
 @pytest.mark.parametrize("q", [0, 1])
 @pytest.mark.parametrize("count", range(1, 9))
 def test_order_stop_rule_matches_brute_force(q, count):
@@ -394,7 +388,7 @@ def test_order_stop_rule_matches_brute_force(q, count):
     ])
     assert reference_modes(q, count) == labeled
     radial = _brute_force_merge(
-        count, lambda n: _per_index((n - 0.5) ** 2, 256, count, "neumann")
+        count, lambda n: per_index((n - 0.5) ** 2, 256, count, "neumann")
     )
     assert np.array_equal(radial_spectrum(256, count, bc="neumann"), radial)
 
@@ -424,12 +418,12 @@ def test_reference_modes_compute_only_the_zeros_the_merge_can_draw(q, empty_stor
 def test_lazy_merge_matches_brute_force_over_per_index_values(q, count, M):
     if q == 0:
         got = zaremba2d_eigensolve(M, M, count).lambdas
-        want = _brute_force_merge(count, lambda k: _per_index(
+        want = _brute_force_merge(count, lambda k: per_index(
             fd_eigenvalue_closed_form(M, k), M, count, "dirichlet"), orders=M)
     else:
         got = radial_spectrum(M, count, bc="neumann")
         want = _brute_force_merge(
-            count, lambda n: _per_index((n - 0.5) ** 2, M, count, "neumann"))
+            count, lambda n: per_index((n - 0.5) ** 2, M, count, "neumann"))
     assert np.array_equal(got, want)
 
 
@@ -522,6 +516,39 @@ def test_threads_filling_one_operator_agree_bitwise(empty_stores):
     assert all(np.array_equal(got, alone) for got in results)
 
 
+@pytest.mark.parametrize("M", [16, 256, 4096])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_radial_eigensolve_reads_the_values_the_merge_draws(bc, M, monkeypatch, empty_stores):
+    # a merge of 80 draws entries j < 4 of every order n <= 12
+    orders, count = range(1, 13), 4
+    radial_spectrum(M, 80, bc)
+    drawn = dict(spectrum2d._RADIAL_VALUES)
+    empty_stores()
+    cold = {n: radial_eigensolve(n, M, count, bc).lambdas for n in orders}
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:])
+        return _tridiagonal_eigenvalues(*args)
+
+    monkeypatch.setattr(spectrum2d, "_tridiagonal_eigenvalues", counted)
+    warm = {n: radial_eigensolve(n, M, count, bc).lambdas for n in orders}
+    assert calls == []
+    for n in orders:
+        angular = (n - 0.5) ** 2
+        assert np.array_equal(warm[n], cold[n])
+        assert np.array_equal(cold[n], per_index(angular, M, count, bc))
+        assert np.array_equal(cold[n], [drawn[angular, M, bc, j] for j in range(count)])
+
+
+@pytest.mark.parametrize("n,error", [(0, ValueError), (-3, ValueError), (1.5, TypeError)])
+def test_radial_eigensolve_refuses_an_invalid_order_before_any_lookup(n, error, empty_stores):
+    # (n - 1/2)^2 at n = 0 and -3 is order 1's and order 4's angular term
+    with pytest.raises(error):
+        radial_eigensolve(n, 64, 2)
+    assert spectrum2d._RADIAL_VALUES == {}
+
+
 def _exact_rayleigh(diag, off, v) -> float:
     """v^T T v / v^T v of the symmetric tridiagonal T, in exact rationals."""
     d, e, v = ([Fraction(x) for x in a] for a in (diag, off, v))
@@ -540,7 +567,7 @@ def test_per_index_values_agree_with_dense_solve(angular, bc, M):
     dense = [_exact_rayleigh(diag, off, v) for v in np.linalg.eigh(T)[1].T]
     # four times dstebz's default absolute tolerance, eps * ||T||
     tol = 4 * np.finfo(float).eps * np.max(np.sum(np.abs(T), axis=0))
-    assert np.max(np.abs(np.array(_per_index(angular, M, M, bc)) - dense)) <= tol
+    assert np.max(np.abs(np.array(per_index(angular, M, M, bc)) - dense)) <= tol
 
 
 def test_reference_eigenvalues():
