@@ -137,13 +137,13 @@ def _grid_pair(text: str):
     if len(parts) == 1:
         parts = parts * 2
     if len(parts) != 2:
-        raise ValueError("grid must be 'M' or 'Mr,Mphi'")
+        raise argparse.ArgumentTypeError("grid must be 'M' or 'Mr,Mphi'")
     try:
         mr, mphi = (int(p) for p in parts)
     except ValueError:
-        raise ValueError("grid entries must be integers") from None
+        raise argparse.ArgumentTypeError("grid entries must be integers") from None
     if mr < 1 or mphi < 1:
-        raise ValueError("grid entries must be positive")
+        raise argparse.ArgumentTypeError("grid entries must be positive")
     return mr, mphi
 
 
@@ -151,9 +151,9 @@ def _order_list(text: str):
     try:
         orders = tuple(int(p) for p in text.split(",") if p)
     except ValueError:
-        raise ValueError("orders must be a comma-separated integer list") from None
+        raise argparse.ArgumentTypeError("orders must be a comma-separated integer list") from None
     if not orders or any(n < 1 for n in orders):
-        raise ValueError("orders must be positive integers")
+        raise argparse.ArgumentTypeError("orders must be positive integers")
     return orders
 
 

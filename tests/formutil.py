@@ -1,6 +1,7 @@
 """Random test forms, residual measurement, the out-of-place oracles of the
 exterior operators and of pullback partials, the per-index radial eigenvalue
-oracle, and a thread race runner, shared by the tests."""
+oracle, the einsum oracle of P1 assembly, and a thread race runner, shared by
+the tests."""
 
 import functools
 import operator
@@ -9,6 +10,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from scipy import sparse
 
 from maxforms.exterior import FieldForm, GridScalar, ScalarField, evaluate, hodge, pullback
 from maxforms.multiindex import (
@@ -258,3 +260,23 @@ def chain_ruled_pullback(tau, a, axes=()):
         a = a.map_components(lambda f: functools.reduce(
             operator.add, (float(c) * f.partial(l) for l, c in enumerate(row, 1))))
     return pullback(tau, a)
+
+
+def einsum_p1_stiffness(mesh) -> sparse.csr_matrix:
+    """P1 stiffness with the local matrices contracted by einsum over the
+    turned edge vectors; the same COO entries as `dnfields.p1_stiffness`."""
+    p = mesh.points[mesh.triangles]
+    e0 = p[:, 2] - p[:, 1]
+    e1 = p[:, 0] - p[:, 2]
+    e2 = p[:, 1] - p[:, 0]
+    area2 = e2[:, 0] * (-e1)[:, 1] - e2[:, 1] * (-e1)[:, 0]  # twice the area
+    grads = np.stack([e0, e1, e2], axis=1)[:, :, ::-1] * np.array([-1.0, 1.0])
+    grads = grads / area2[:, None, None]
+    local = np.einsum("tic,tjc->tij", grads, grads) * (0.5 * area2)[:, None, None]
+    rows = np.repeat(mesh.triangles, 3, axis=1).reshape(-1)
+    cols = np.tile(mesh.triangles, (1, 3)).reshape(-1)
+    A = sparse.coo_matrix(
+        (local.reshape(-1), (rows, cols)),
+        shape=(len(mesh.points), len(mesh.points)),
+    )
+    return A.tocsr()

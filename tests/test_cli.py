@@ -465,14 +465,28 @@ def test_every_subcommand_names_a_dominant_size():
 
 def test_malformed_grid_exits_2(capsys):
     # a non-positive entry is refused on both routes, also where the radial
-    # route reads only M_r
-    requests = [["--grid", "10,20,30"]] + [
-        ["--q", q, "--grid", grid] for q in ("0", "1") for grid in ("16,0", "16,-3")]
-    for request in requests:
+    # route reads only M_r; the message gives the reason
+    requests = [(["--grid", "10,20,30"], "grid must be 'M' or 'Mr,Mphi'"),
+                (["--grid", "16,x"], "grid entries must be integers")] + [
+        (["--q", q, "--grid", grid], "grid entries must be positive")
+        for q in ("0", "1") for grid in ("16,0", "16,-3")]
+    for request, reason in requests:
         with pytest.raises(SystemExit) as err:
             cli.main(["eigen2d", *request])
         assert err.value.code == 2
-        assert "error: argument --grid" in capsys.readouterr().err
+        assert f"error: argument --grid: {reason}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("orders, reason", [
+    ("0", "orders must be positive integers"),
+    ("1,-2", "orders must be positive integers"),
+    ("1,x", "orders must be a comma-separated integer list"),
+])
+def test_malformed_orders_exit_2_with_the_reason(orders, reason, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["expand", "--q", "0", "--n", "1", "--m", "1", "--orders", orders])
+    assert err.value.code == 2
+    assert f"error: argument --orders: {reason}\n" in capsys.readouterr().err
 
 
 # every integer option of every subcommand, at 0 and -1; --q and --seed take 0

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from formutil import einsum_p1_stiffness
+from scipy.sparse.linalg import splu
 
 from maxforms import dnfields
 from maxforms.dnfields import (
     _ANGLE_TOL,
+    _LEAF,
     TWO_PI,
     ArcPartition,
     DimensionReport,
@@ -13,6 +16,7 @@ from maxforms.dnfields import (
     build_basis,
     dimension_check,
     disk_mesh,
+    dissection_order,
     gradient_dimension,
     p1_stiffness,
     solve_pinned,
@@ -46,6 +50,13 @@ def mesh_euler_characteristic(mesh) -> int:
 def equal_arcs(K: int, fill: float = 0.6) -> ArcPartition:
     starts = np.arange(K) * 2 * math.pi / K
     return ArcPartition(tuple((s, s + fill * 2 * math.pi / K) for s in starts))
+
+
+def pinned_system(part: ArcPartition, h: float):
+    """Mesh, stiffness and the nodes the partition's arcs pin, as `build_basis` makes them."""
+    mesh = disk_mesh(part, h)
+    pinned = mesh.boundary_nodes[part.arc_indices(mesh.boundary_angles) >= 0]
+    return mesh, p1_stiffness(mesh), pinned
 
 
 # -- partition ---------------------------------------------------------------
@@ -195,13 +206,23 @@ def test_stiffness_symmetric_with_constant_kernel():
     assert np.max(np.abs(A @ np.ones(A.shape[0]))) <= 1e-12
 
 
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.01])
+@pytest.mark.parametrize("part", [PART3, equal_arcs(4)], ids=["part3", "equal4"])
+def test_stiffness_equals_the_einsum_assembly_bitwise(part, h):
+    mesh = disk_mesh(part, h)
+    A, oracle = p1_stiffness(mesh), einsum_p1_stiffness(mesh)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(A, name), getattr(oracle, name)), name
+
+
 def test_linear_fields_are_reproduced_exactly():
     # P1 elements contain linears, so pinning x on the whole boundary must
     # return x everywhere up to solver roundoff
     mesh = disk_mesh(PART3, 0.1)
     A = p1_stiffness(mesh)
     values = mesh.points[mesh.boundary_nodes, 0]
-    x, res = solve_pinned(A, mesh.boundary_nodes, values)
+    order = dissection_order(mesh, A, mesh.boundary_nodes)
+    x, res = solve_pinned(A, mesh.boundary_nodes, values, order)
     assert np.max(np.abs(x - mesh.points[:, 0])) <= 1e-10
     assert res <= 1e-10
 
@@ -211,10 +232,11 @@ def test_block_solve_equals_column_solves():
     A = p1_stiffness(mesh)
     pinned = mesh.boundary_nodes
     values = np.stack([np.cos(k * mesh.boundary_angles) for k in range(4)], axis=1)
-    x, res = solve_pinned(A, pinned, values)
+    order = dissection_order(mesh, A, pinned)
+    x, res = solve_pinned(A, pinned, values, order)
     assert x.shape == (len(mesh.points), 4) and res.shape == (4,)
     for k in range(4):
-        xk, rk = solve_pinned(A, pinned, values[:, k])
+        xk, rk = solve_pinned(A, pinned, values[:, k], order)
         assert np.max(np.abs(x[:, k] - xk)) <= 1e-13
         assert res[k] <= 1e-10 and rk <= 1e-10
 
@@ -223,13 +245,80 @@ def test_basis_factors_once(monkeypatch):
     calls, splu = [], dnfields.splu
 
     def counting_splu(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs)
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(dnfields, "splu", counting_splu)
     basis = build_basis(equal_arcs(4), h=0.1)
     assert len(calls) == 1
+    assert calls[0]["permc_spec"] == "NATURAL"  # the dissection order, kept as given
     assert basis.potentials.shape[1] == 4 and basis.residuals.shape == (4,)
+
+
+# -- elimination order -------------------------------------------------------
+
+
+def _related(a, b):
+    """Heap ids: whether a equals b, or is its ancestor or descendant."""
+    da, db = np.frexp(a)[1], np.frexp(b)[1]
+    shift = np.abs(da - db)
+    return np.where(da > db, a >> shift, a) == np.where(db > da, b >> shift, b)
+
+
+# one to forty arcs, down to the benchmark's finest spacing
+_SPACINGS = pytest.mark.parametrize("h", [0.3, 0.1, 0.05, 0.01])
+_PARTITIONS = pytest.mark.parametrize(
+    "part", [PART3, equal_arcs(1), equal_arcs(40, fill=0.3), ArcPartition(((0.0, 6.2),))],
+    ids=["part3", "one", "forty", "wide"],
+)
+
+
+@_SPACINGS
+@_PARTITIONS
+def test_dissection_order_is_a_permutation_of_the_free_nodes(part, h):
+    mesh, A, pinned = pinned_system(part, h)
+    free = np.ones(len(mesh.points), dtype=bool)
+    free[pinned] = False
+    assert np.array_equal(np.sort(dissection_order(mesh, A, pinned)), np.flatnonzero(free))
+
+
+@_SPACINGS
+@_PARTITIONS
+def test_separators_separate_and_leaves_are_small(part, h):
+    # every edge between free nodes stays inside one part or joins a part to
+    # an ancestor, so two halves share no edge once their separator is gone
+    mesh, A, pinned = pinned_system(part, h)
+    part_of, _ = dnfields._dissection_parts(mesh, A, pinned)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    a, b = part_of[rows], part_of[A.indices]
+    both = (a > 0) & (b > 0)
+    assert np.all(_related(a[both], b[both]))
+    ids, sizes = np.unique(part_of[part_of > 0], return_counts=True)
+    parents = {int(i) >> s for i in ids for s in range(1, int(i).bit_length())}
+    assert max(n for i, n in zip(ids, sizes) if int(i) not in parents) <= _LEAF
+
+
+@pytest.mark.parametrize("h", [0.05, 0.01])
+@pytest.mark.parametrize(
+    "part, turned",
+    [(PART3, rotated(PART3, 2.31)), (equal_arcs(4), rotated(equal_arcs(4), 1.234))],
+    ids=["part3", "equal4"],
+)
+def test_congruent_partitions_get_equal_orders(part, turned, h):
+    orders = [dissection_order(*pinned_system(p, h)) for p in (part, turned)]
+    assert np.array_equal(*orders)
+
+
+def test_dissection_fills_less_than_minimum_degree():
+    mesh, A, pinned = pinned_system(PART3, 0.01)
+    order = dissection_order(mesh, A, pinned)
+    free = np.setdiff1d(np.arange(A.shape[0]), pinned)
+    fill = {}
+    for spec, nodes in (("NATURAL", order), ("MMD_AT_PLUS_A", free)):
+        lu = splu(A[nodes][:, nodes].tocsc(), permc_spec=spec, diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        fill[spec] = lu.L.nnz + lu.U.nnz
+    assert fill["NATURAL"] < fill["MMD_AT_PLUS_A"]
 
 
 def test_potentials_partition_unity_and_stay_in_range():

@@ -43,6 +43,8 @@ REQUESTS = {
     "eigen2d-q1-modes-above-cells": [["eigen2d", "--q", "1", "--grid", "16", "--modes", "17"]],
     "dn-fields": [["dn-fields", "--arcs", ARCS]],
     "dn-fields-large": [["dn-fields", "--arcs", ARCS, "--h", "0.025"]],
+    # four arcs at the finest spacing the benchmark solves
+    "dn-fields-fine": [["dn-fields", "--arcs", "0.0:1.0,1.6:2.6,3.2:4.2,4.8:5.8", "--h", "0.01"]],
     "regularity": [["regularity", "--q", "0", "--n", "1", "--m", "1"]],
     "regularity-large": [["regularity", "--q", "1", "--n", "8", "--m", "12", "--field", "H"]],
     # the longest exponent sweep; no shell is representable, so the slope is null
