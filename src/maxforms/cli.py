@@ -314,26 +314,42 @@ def _sign_suite_max(n_cap: int) -> int:
     return worst
 
 
-def _form_max(form) -> float:
-    vals = [np.max(np.abs(c.values)) for c in form.components.values()]
+def _max_modulus(pairs, combine=None) -> float:
+    """The largest modulus over grid arrays, or over `combine(x, y, out)` of
+    equal-shaped pairs (x, y), reduced slab by slab through two buffers of the
+    call: no combined array is stored.  An array's maximum is np.max over its
+    slab maxima, so a NaN still propagates."""
+    from .exterior import _slabs
+
+    buf = mod = None
+    vals = []
+    for x, y in pairs:
+        x, y = x.reshape(-1), None if y is None else y.reshape(-1)
+        maxima = []
+        for lo, hi in _slabs(x.size, x.itemsize):
+            if mod is None or len(mod) < hi - lo:  # the first slab is the largest
+                buf, mod = np.empty(hi - lo, x.dtype), np.empty(hi - lo)
+            rows = x[lo:hi]
+            if combine is not None:
+                rows = combine(rows, y[lo:hi], out=buf[:hi - lo])
+            maxima.append(np.max(np.abs(rows, out=mod[:hi - lo])))
+        vals.append(np.max(maxima))
     return float(max(vals)) if vals else 0.0
+
+
+def _form_max(form) -> float:
+    return _max_modulus((c.values, None) for c in form.components.values())
 
 
 def _difference_max(X, Y, sign: int) -> float:
-    """`_form_max(X - sign * Y)` for grid forms and sign +1 or -1, one component
-    at a time through two buffers of the call: no difference form is stored."""
-    diff = mod = None
-    vals = []
+    """`_form_max(X - sign * Y)` for grid forms and sign +1 or -1."""
+    pairs = []
     for key, x in X.components.items():
         y = Y.components[key]
         x._check_compatible(y)
-        if diff is None:
-            diff = np.empty_like(x.values)
-            mod = np.empty(diff.shape)
-        # x - (-y) is x + y exactly
-        (np.subtract if sign == 1 else np.add)(x.values, y.values, out=diff)
-        vals.append(np.max(np.abs(diff, out=mod)))
-    return float(max(vals)) if vals else 0.0
+        pairs.append((x.values, y.values))
+    # x - (-y) is x + y exactly
+    return _max_modulus(pairs, np.subtract if sign == 1 else np.add)
 
 
 def _random_grid_form(q: int, grid, seed: int):

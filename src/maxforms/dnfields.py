@@ -93,12 +93,17 @@ class ArcPartition:
         return np.array(sorted(x % TWO_PI for a, b in self.arcs for x in (a, b)))
 
     def arc_indices(self, theta) -> np.ndarray:
-        """Per angle, the index of the first arc containing it, or -1 for a gap."""
+        """Per angle, the index of the first arc containing it, or -1 for a gap.
+
+        An arc holds the angles from _ANGLE_TOL before its start to
+        _ANGLE_TOL past its end: an angle a hair below the start wraps to
+        just under 2 pi from it."""
         theta = np.asarray(theta, dtype=float)
         out = np.full(theta.shape, -1)
         for k in reversed(range(len(self.arcs))):
             a, b = self.arcs[k]
-            out[(theta - a) % TWO_PI <= (b - a) + _ANGLE_TOL] = k
+            d = (theta - a) % TWO_PI
+            out[(d <= (b - a) + _ANGLE_TOL) | (d >= TWO_PI - _ANGLE_TOL)] = k
         return out
 
 
@@ -153,27 +158,43 @@ def _relative(ang, anchor):
     return np.round((ang - anchor) % TWO_PI, 10)
 
 
-def _stitch(inner_idx, inner_ang, outer_idx, outer_ang, anchor):
-    """Triangulate the strip between two rings by merging angles.
+def _stitch(sizes, rel) -> np.ndarray:
+    """Triangulate the strips between consecutive rings by merging angles.
 
-    Comparison keys are quantized so that ties between rings break the same
-    way for congruent inputs; this is what makes the mesh topology, and hence
-    the spectrum, rotation invariant.
+    `sizes` counts the nodes of each ring, outwards, numbered from 1 on
+    (node 0 is the centre), and `rel` holds their anchor-relative angles,
+    which never fall along a ring as the rings are laid out, so no ring is
+    sorted.  In the strip between rings r and r + 1, each step advances the
+    ring whose next angle comes first; a ring's first node comes again after
+    its last, 2 pi on.  All strips are merged in one stable sort: per strip,
+    the keys of its inner ring, then those of its outer ring, so the inner
+    ring takes every tie, and the keys of strip s, which lie in [0, 4 pi],
+    shifted by 16 s.  Keys are quantized by `_relative`, so that ties between
+    rings break the same way for congruent inputs; this is what makes the
+    mesh topology, and hence the spectrum, rotation invariant.  Keys that
+    differ are about 1e-10 apart or more, far above the spacing of doubles
+    below 16 times any ring count, so the shift keeps their order and their
+    ties.
     """
-    ia = np.argsort(_relative(inner_ang, anchor))
-    oa = np.argsort(_relative(outer_ang, anchor))
-    inner_idx, inner_ang = inner_idx[ia], _relative(inner_ang[ia], anchor)
-    outer_idx, outer_ang = outer_idx[oa], _relative(outer_ang[oa], anchor)
-    n, m = len(inner_idx), len(outer_idx)
-    # each step advances the ring whose next angle comes first; listing the
-    # inner keys first makes the stable sort give the inner ring every tie
-    keys = np.concatenate([inner_ang[1:], [TWO_PI + inner_ang[0]],
-                           outer_ang[1:], [TWO_PI + outer_ang[0]]])
-    inner_step = np.argsort(keys, kind="stable") < n
-    i = np.cumsum(inner_step) - inner_step
-    j = np.arange(n + m) - i
-    third = np.where(inner_step, inner_idx[(i + 1) % n], outer_idx[(j + 1) % m])
-    return np.column_stack([inner_idx[i % n], outer_idx[j % m], third])
+    starts = np.cumsum(np.concatenate([[1], sizes]))
+    # a node's key is the angle of the next node of its ring
+    nxt = np.empty_like(rel)
+    nxt[:-1] = rel[1:]
+    nxt[starts[1:] - 2] = TWO_PI + rel[starts[:-1] - 1]
+    n, m = sizes[:-1], sizes[1:]  # inner and outer ring of each strip
+    length = n + m
+    first = np.cumsum(length) - length  # each strip's first merge step
+    # strip s reads the nodes of rings s and s + 1, which are numbered in a row
+    node = np.arange(length.sum()) + np.repeat(starts[:-2] - first, length)
+    strip = np.repeat(np.arange(len(n)), length)
+    merged = np.argsort(nxt[node - 1] + 16.0 * strip, kind="stable")
+    inner_step = merged - first[strip] < n[strip]
+    # i counts the inner steps before each step of its strip, j the outer ones
+    i = np.cumsum(inner_step) - inner_step - (starts[strip] - 1)
+    j = np.arange(len(strip)) - first[strip] - i
+    n, m, lo_in, lo_out = n[strip], m[strip], starts[strip], starts[strip + 1]
+    third = np.where(inner_step, lo_in + (i + 1) % n, lo_out + (j + 1) % m)
+    return np.column_stack([lo_in + i % n, lo_out + j % m, third])
 
 
 def disk_mesh(partition: ArcPartition, h: float) -> DiskMesh:
@@ -188,20 +209,16 @@ def disk_mesh(partition: ArcPartition, h: float) -> DiskMesh:
         _ring_angles(max(6, math.ceil(TWO_PI * radius / step)), anchor)
         for radius in radii[:-1]
     ] + [_boundary_angles(partition, step)]
-    sizes = [len(ang) for ang in ring_ang]
-    ends = np.cumsum([1] + sizes)  # node 0 is the centre
-    ring_idx = [np.arange(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+    sizes = np.array([len(ang) for ang in ring_ang])
     radius, ang = np.repeat(radii, sizes), np.concatenate(ring_ang)
+    rel = _relative(ang, anchor)
     points = np.vstack([
         [0.0, 0.0], np.column_stack([radius * np.cos(ang), radius * np.sin(ang)])
     ])
 
-    first = ring_idx[0]
+    first = np.arange(1, sizes[0] + 1)
     fan = np.column_stack([np.zeros_like(first), first, np.roll(first, -1)])
-    triangles = np.concatenate([fan] + [
-        _stitch(ring_idx[j], ring_ang[j], ring_idx[j + 1], ring_ang[j + 1], anchor)
-        for j in range(rings - 1)
-    ])
+    triangles = np.concatenate([fan, _stitch(sizes, rel)])
     # enforce positive orientation triangle by triangle
     p = points[triangles]
     u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
@@ -210,11 +227,11 @@ def disk_mesh(partition: ArcPartition, h: float) -> DiskMesh:
     return DiskMesh(
         points=points,
         triangles=triangles,
-        boundary_nodes=ring_idx[-1],
+        boundary_nodes=np.arange(len(points) - sizes[-1], len(points)),
         boundary_angles=np.asarray(ring_ang[-1]) % TWO_PI,
         spacing=step,
-        node_rings=np.repeat(np.arange(rings + 1), [1] + sizes),
-        node_angles=np.concatenate([[0.0], _relative(ang, anchor)]),
+        node_rings=np.repeat(np.arange(rings + 1), np.concatenate([[1], sizes])),
+        node_angles=np.concatenate([[0.0], rel]),
     )
 
 

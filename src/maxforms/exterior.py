@@ -35,15 +35,19 @@ and products fold away by identity as a form is built.  The partials of any
 order of a pullback along an affine map go through one chain-rule evaluator
 per pullback, which evaluates each leaf partial once per point batch.
 
-Grid sums accumulate in place: the first term's new array takes each later
-term, written into one spare array per operation, by an add or a subtract,
-with values equal to those of summing signed copies.
+Grid sums sweep the grid slab by slab: each output component is allocated
+once, and for one slab of rows of the first axis (about 256 KB, which stays in
+a core's cache) every component's terms are computed, in table order, into one
+slab-sized spare array and added or subtracted in place, with values equal to
+those of summing signed copies.  A forward difference takes one pass over the
+flat array and then rewrites the slice where the grid wraps.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -62,6 +66,9 @@ from .multiindex import (
 )
 
 _FD_STEP = 1e-6
+# bytes of first-axis rows that a grid sweep takes at a time, which stay in a
+# core's cache
+_SLAB_BYTES = 1 << 18
 
 
 class ScalarField:
@@ -293,7 +300,7 @@ class GridScalar:
     __slots__ = ("values", "grid")
 
     def __init__(self, values, spacing, origin=None):
-        values = np.asarray(values)
+        values = np.asarray(values, order="C")
         if not np.iscomplexobj(values):
             values = values.astype(np.complex128)
         self.values = values
@@ -304,22 +311,11 @@ class GridScalar:
             origin = (0.0,) * values.ndim
         self.grid = GridSpec(tuple(values.shape), spacing, tuple(origin))
 
-    def partial(self, axis: int, out=None) -> "GridScalar":
-        """Forward difference along `axis`, written into `out` when given (an
-        array of the values' shape and dtype, which the result then holds)."""
+    def partial(self, axis: int) -> "GridScalar":
+        """Forward difference along `axis`."""
         v = self.values
-        head = (slice(None),) * (axis - 1)
-        diff = np.empty(v.shape, v.dtype) if out is None else out
-        # forward neighbour minus self, the last slice wrapping to the first
-        np.subtract(v[head + (slice(1, None),)], v[head + (slice(None, -1),)],
-                    out=diff[head + (slice(None, -1),)])
-        np.subtract(v[head + (slice(None, 1),)], v[head + (slice(-1, None),)],
-                    out=diff[head + (slice(-1, None),)])
-        # numpy divides a complex array by a real h as (re + im * 0) * (1 / h) in
-        # complex arithmetic; scaling the interleaved re, im by 1 / h gives the
-        # same finite values (up to the sign of a zero) at a quarter of the cost
-        scaled = diff.view(diff.real.dtype)
-        scaled *= 1.0 / self.grid.spacing[axis - 1]
+        diff = np.empty(v.shape, v.dtype)
+        _forward_difference(v, axis, self.grid.spacing[axis - 1], 0, v.shape[0], diff)
         return GridScalar(diff, self.grid.spacing, self.grid.origin)
 
     def zero_like(self) -> "GridScalar":
@@ -342,7 +338,11 @@ class GridScalar:
         return GridScalar(self.values - other.values, self.grid.spacing, self.grid.origin)
 
     def __neg__(self):
-        return GridScalar(-self.values, self.grid.spacing, self.grid.origin)
+        # negating the interleaved re, im flips the sign bits that the complex
+        # negation flips, at about half its cost
+        out = np.empty(self.values.shape, self.values.dtype)
+        np.negative(_floats(self.values), out=_floats(out))
+        return GridScalar(out, self.grid.spacing, self.grid.origin)
 
     def __mul__(self, other):
         if isinstance(other, GridScalar):
@@ -358,6 +358,48 @@ class GridScalar:
         return GridScalar(c * self.values, self.grid.spacing, self.grid.origin)
 
     __rmul__ = __mul__
+
+
+def _floats(values: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of C-contiguous complex values, interleaved
+    in one flat float view."""
+    return values.reshape(-1).view(values.real.dtype)
+
+
+def _slabs(length: int, row_bytes: int) -> list:
+    """(lo, hi) ranges that cover range(length) in order, each about
+    `_SLAB_BYTES` of rows of `row_bytes`, and at least one row."""
+    rows = max(1, _SLAB_BYTES // max(1, row_bytes))
+    return [(lo, min(lo + rows, length)) for lo in range(0, length, rows)]
+
+
+def _forward_difference(v, axis, h, lo, hi, out):
+    """Rows lo:hi (of the first axis) of the forward difference of the
+    C-contiguous v along `axis` over h, the last slice wrapping to the first,
+    written into `out`, C-contiguous of shape (hi - lo,) + v.shape[1:].
+
+    The flat array is differenced in one pass, the neighbour along `axis`
+    lying prod(v.shape[axis:]) entries on; then the slice at the last index
+    along `axis`, whose entries took a neighbour from the next block or none,
+    is rewritten from the first.  Each entry is one subtraction of the same
+    two values as slice by slice.
+    """
+    n, step, row = v.shape[axis - 1], math.prod(v.shape[axis:]), math.prod(v.shape[1:])
+    src, dst = v.reshape(-1), out.reshape(-1)
+    a, b = lo * row, min(hi * row, src.size - step)
+    np.subtract(src[a + step:b + step], src[a:b], out=dst[:b - a])
+    if axis == 1:
+        if hi == n:
+            np.subtract(v[:1], v[-1:], out=out[-1:])
+    else:
+        blocks = (hi - lo) * math.prod(v.shape[1:axis - 1])
+        w, o = v[lo:hi].reshape(blocks, n, step), out.reshape(blocks, n, step)
+        np.subtract(w[:, :1], w[:, -1:], out=o[:, -1:])
+    # numpy divides a complex array by a real h as (re + im * 0) * (1 / h) in
+    # complex arithmetic; scaling the interleaved re, im by 1 / h gives the
+    # same finite values (up to the sign of a zero) at a quarter of the cost
+    scaled = _floats(out)
+    scaled *= 1.0 / h
 
 
 class FieldForm:
@@ -459,17 +501,20 @@ def evaluate(form: FieldForm, x) -> dict:
     return {k: complex(v.fn(x)) for k, v in form.components.items()}
 
 
-def _partial(f, axis, out=None):
-    """The partial of a coefficient; a grid one is written into `out` if given."""
-    return f.partial(axis) if out is None else f.partial(axis, out)
+def _partial(f, axis, lo=None, hi=None, out=None):
+    """The partial of a coefficient, or rows lo:hi of a grid one written into
+    `out`."""
+    if out is None:
+        return f.partial(axis)
+    _forward_difference(f.values, axis, f.grid.spacing[axis - 1], lo, hi, out)
 
 
-def _product(f, g, out=None):
-    """The product of two coefficients; a grid one is written into `out` if given."""
+def _product(f, g, lo=None, hi=None, out=None):
+    """The product of two coefficients, or rows lo:hi of a grid one written
+    into `out`."""
     if out is None:
         return f * g
-    f._check_compatible(g)
-    return GridScalar(np.multiply(f.values, g.values, out=out), f.grid.spacing, f.grid.origin)
+    np.multiply(f.values[lo:hi], g.values[lo:hi], out=out)
 
 
 def _sum_table(N: int, q: int, table, term, *operands: FieldForm) -> FieldForm:
@@ -478,39 +523,58 @@ def _sum_table(N: int, q: int, table, term, *operands: FieldForm) -> FieldForm:
     (sign, kernel, x, y) and every sign is +1 or -1; an empty sum is zero in the
     operands' representation.
 
-    Grid components of one dtype are summed in place: the first term's array,
-    made by its kernel, is the accumulator, and each later term is written into
-    one spare array of the call and goes in by np.add or np.subtract with
-    `out=`.  Since x - y is x + (-y) exactly, the values equal those of the
-    out-of-place sum, without its negated copies; operands are never written.
+    Grid components on one grid with at least one axis and of one dtype go
+    through `_swept_sums`; others, and callable ones, are summed as signed
+    copies.
     """
     fields = [v for f in operands for v in f.components.values()]
     zero = (fields[0] if fields else _ZERO).zero_like
-    in_place = (bool(fields) and isinstance(fields[0], GridScalar)
-                and len({v.values.dtype for v in fields}) == 1)
-    spare = None
+    if (fields and isinstance(fields[0], GridScalar) and fields[0].values.ndim
+            and len({(v.grid, v.values.dtype) for v in fields}) == 1):
+        return FieldForm._of_ordered(N, q, _swept_sums(table, term, fields[0], zero))
     out = {}
     for K, entries in table:
         terms = [term(*entry) for entry in entries]
-        if not terms:
-            out[K] = zero()
-        elif not in_place:
-            out[K] = functools.reduce(operator.add, (
-                kernel(x, y) if sign == 1 else sign * kernel(x, y)
-                for sign, kernel, x, y in terms))
-        else:
-            (sign, kernel, x, y), *rest = terms
-            acc = kernel(x, y)
-            if sign == -1:
-                np.negative(acc.values, out=acc.values)
-            for sign, kernel, x, y in rest:
-                acc._check_compatible(x)
-                if spare is None or spare.shape != acc.values.shape:
-                    spare = np.empty_like(acc.values)
-                kernel(x, y, spare)
-                (np.add if sign == 1 else np.subtract)(acc.values, spare, out=acc.values)
-            out[K] = acc
+        out[K] = functools.reduce(operator.add, (
+            kernel(x, y) if sign == 1 else sign * kernel(x, y)
+            for sign, kernel, x, y in terms)) if terms else zero()
     return FieldForm._of_ordered(N, q, out)
+
+
+def _swept_sums(table, term, proto: GridScalar, zero) -> dict:
+    """The sums of `_sum_table` over grid fields shaped like `proto`, swept
+    slab by slab along the first axis.
+
+    Each component with terms is allocated once.  Within a slab, every
+    component's first term is written into its rows (and negated for -1),
+    and each later term into one slab-sized spare array of the call, which
+    np.add or np.subtract takes in with `out=`.  Since x - y is x + (-y)
+    exactly, the values equal those of the out-of-place sum; operands are
+    never written.
+    """
+    v = proto.values
+    out, sums = {}, []
+    for K, entries in table:
+        if entries:
+            acc = np.empty(v.shape, v.dtype)
+            sums.append((acc, [term(*entry) for entry in entries]))
+            out[K] = GridScalar(acc, proto.grid.spacing, proto.grid.origin)
+        else:
+            out[K] = zero()
+    spare = None
+    for lo, hi in _slabs(v.shape[0], v[:1].nbytes):
+        for acc, ((sign, kernel, x, y), *rest) in sums:
+            rows = acc[lo:hi]
+            kernel(x, y, lo, hi, rows)
+            if sign == -1:
+                np.negative(rows, out=rows)
+            for sign, kernel, x, y in rest:
+                if spare is None:  # the first slab is the largest
+                    spare = np.empty_like(rows)
+                part = spare[:hi - lo]
+                kernel(x, y, lo, hi, part)
+                (np.add if sign == 1 else np.subtract)(rows, part, out=rows)
+    return out
 
 
 def wedge(a: FieldForm, b: FieldForm) -> FieldForm:

@@ -1,9 +1,10 @@
 """Random test forms, residual measurement, the out-of-place oracles of the
 exterior operators and of pullback partials, the per-index radial eigenvalue
-oracle, the einsum oracle of P1 assembly, and a thread race runner, shared by
-the tests."""
+oracle, the einsum oracle of P1 assembly, the strip-by-strip oracle of the
+ring mesh, and a thread race runner, shared by the tests."""
 
 import functools
+import math
 import operator
 import sys
 import threading
@@ -12,6 +13,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy import sparse
 
+from maxforms.dnfields import (
+    TWO_PI,
+    DiskMesh,
+    _boundary_angles,
+    _relative,
+    _ring_angles,
+)
 from maxforms.exterior import FieldForm, GridScalar, ScalarField, evaluate, hodge, pullback
 from maxforms.multiindex import (
     codiff_table,
@@ -280,3 +288,66 @@ def einsum_p1_stiffness(mesh) -> sparse.csr_matrix:
         shape=(len(mesh.points), len(mesh.points)),
     )
     return A.tocsr()
+
+
+# -- the ring mesh stitched strip by strip ------------------------------------------
+
+
+def stitch(inner_idx, inner_ang, outer_idx, outer_ang, anchor):
+    """Triangulate the strip between two rings by merging angles, each ring
+    sorted by its quantized angle first; the inner ring takes every tie."""
+    ia = np.argsort(_relative(inner_ang, anchor))
+    oa = np.argsort(_relative(outer_ang, anchor))
+    inner_idx, inner_ang = inner_idx[ia], _relative(inner_ang[ia], anchor)
+    outer_idx, outer_ang = outer_idx[oa], _relative(outer_ang[oa], anchor)
+    n, m = len(inner_idx), len(outer_idx)
+    # each step advances the ring whose next angle comes first; listing the
+    # inner keys first makes the stable sort give the inner ring every tie
+    keys = np.concatenate([inner_ang[1:], [TWO_PI + inner_ang[0]],
+                           outer_ang[1:], [TWO_PI + outer_ang[0]]])
+    inner_step = np.argsort(keys, kind="stable") < n
+    i = np.cumsum(inner_step) - inner_step
+    j = np.arange(n + m) - i
+    third = np.where(inner_step, inner_idx[(i + 1) % n], outer_idx[(j + 1) % m])
+    return np.column_stack([inner_idx[i % n], outer_idx[j % m], third])
+
+
+def per_strip_disk_mesh(partition, h, stitch=stitch) -> DiskMesh:
+    """Oracle of `dnfields.disk_mesh`: the same rings, each strip between two
+    of them triangulated on its own by `stitch`."""
+    rings = max(3, int(round(1.0 / h)))
+    step = 1.0 / rings
+    anchor = partition.anchor
+
+    radii = np.arange(1, rings + 1) * step
+    ring_ang = [
+        _ring_angles(max(6, math.ceil(TWO_PI * radius / step)), anchor)
+        for radius in radii[:-1]
+    ] + [_boundary_angles(partition, step)]
+    sizes = [len(ang) for ang in ring_ang]
+    ends = np.cumsum([1] + sizes)  # node 0 is the centre
+    ring_idx = [np.arange(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+    radius, ang = np.repeat(radii, sizes), np.concatenate(ring_ang)
+    points = np.vstack([
+        [0.0, 0.0], np.column_stack([radius * np.cos(ang), radius * np.sin(ang)])
+    ])
+
+    first = ring_idx[0]
+    fan = np.column_stack([np.zeros_like(first), first, np.roll(first, -1)])
+    triangles = np.concatenate([fan] + [
+        stitch(ring_idx[j], ring_ang[j], ring_idx[j + 1], ring_ang[j + 1], anchor)
+        for j in range(rings - 1)
+    ])
+    p = points[triangles]
+    u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    flip = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0] < 0
+    triangles[flip] = triangles[flip][:, [0, 2, 1]]
+    return DiskMesh(
+        points=points,
+        triangles=triangles,
+        boundary_nodes=ring_idx[-1],
+        boundary_angles=np.asarray(ring_ang[-1]) % TWO_PI,
+        spacing=step,
+        node_rings=np.repeat(np.arange(rings + 1), [1] + sizes),
+        node_angles=np.concatenate([[0.0], _relative(ang, anchor)]),
+    )

@@ -211,9 +211,11 @@ def test_generated_grid_form_serializes_as_the_summed_draws(N, q, cells, seed):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_difference_max_equals_the_max_of_the_difference_form(sign):
+def test_difference_max_equals_the_max_of_the_difference_form(sign, monkeypatch):
     # float values at a non-dyadic spacing, so no difference is exactly zero; a
-    # NaN in a later component and an infinity in another keep their effect
+    # NaN in a later component and an infinity in another keep their effect,
+    # whether a component is reduced in one slab, entry by entry, or in slabs
+    # of 7 entries, which do not divide its 60
     rng = np.random.default_rng(11)
     shape, spacing = (5, 4, 3), (0.1, 0.3, 0.7)
 
@@ -222,12 +224,25 @@ def test_difference_max_equals_the_max_of_the_difference_form(sign):
                  for k in cli.enumerate_ordered(1, 3)}
         return exterior.FieldForm.from_grid(3, 1, comps, spacing)
 
-    X, Y = form(), form()
-    assert cli._difference_max(X, Y, sign) == cli._form_max(X - sign * Y)
-    X.components[(2,)].values[1, 2, 0] = np.nan
-    Y.components[(3,)].values[0, 0, 2] = np.inf
-    got, want = cli._difference_max(X, Y, sign), cli._form_max(X - sign * Y)
-    assert got == want or (math.isnan(got) and math.isnan(want))
+    def whole_array_max(X, Y):
+        pairs = ((X.components[k].values, Y.components[k].values) for k in X.components)
+        return max(float(np.max(np.abs(x - y if sign == 1 else x + y))) for x, y in pairs)
+
+    def same(got, want):
+        return got == want or (math.isnan(got) and math.isnan(want))
+
+    for budget in (exterior._SLAB_BYTES, 1, 7 * 16):
+        monkeypatch.setattr(exterior, "_SLAB_BYTES", budget)
+        X, Y = form(), form()
+        assert cli._difference_max(X, Y, sign) == cli._form_max(X - sign * Y)
+        assert cli._difference_max(X, Y, sign) == whole_array_max(X, Y)
+        X.components[(2,)].values[1, 2, 0] = np.nan
+        Y.components[(3,)].values[0, 0, 2] = np.inf
+        got = cli._difference_max(X, Y, sign)
+        assert same(got, cli._form_max(X - sign * Y)) and same(got, whole_array_max(X, Y))
+        # the slab holding the NaN gives NaN, and so does the component
+        one = exterior.FieldForm.from_grid(3, 0, {(): X.components[(2,)].values}, spacing)
+        assert math.isnan(cli._form_max(one))
 
 
 def test_identities_checks_stored_forms_on_any_grid(tmp_path, capsys):

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from formutil import einsum_p1_stiffness
+from formutil import einsum_p1_stiffness, per_strip_disk_mesh, stitch
 from scipy.sparse.linalg import splu
 
 from maxforms import dnfields
@@ -12,6 +13,7 @@ from maxforms.dnfields import (
     TWO_PI,
     ArcPartition,
     DimensionReport,
+    DiskMesh,
     arcs_from_string,
     build_basis,
     dimension_check,
@@ -28,7 +30,8 @@ PART3 = ArcPartition(((0.2, 1.1), (1.9, 2.8), (4.0, 5.2)))
 def arc_index(part: ArcPartition, theta: float) -> int:
     """Scalar oracle of `arc_indices`: the arc containing the angle, or -1 for a gap."""
     for k, (a, b) in enumerate(part.arcs):
-        if (theta - a) % TWO_PI <= (b - a) + _ANGLE_TOL:
+        d = (theta - a) % TWO_PI
+        if d <= (b - a) + _ANGLE_TOL or d >= TWO_PI - _ANGLE_TOL:
             return k
     return -1
 
@@ -94,10 +97,33 @@ def test_vector_membership_matches_arc_index(h):
         ends = part.endpoints()
         angles = np.concatenate([
             disk_mesh(part, h).boundary_angles,
-            ends, ends + 1e-9, ends - 1e-9, ends + 2e-9, ends + 2 * math.pi, ends - 2 * math.pi,
+            ends, ends + 1e-9, ends - 1e-9, ends + 2e-9, ends - 2e-9, ends - 1e-15,
+            ends + 2 * math.pi, ends - 2 * math.pi,
         ])
         expected = [arc_index(part, t) for t in angles]
         assert part.arc_indices(angles).tolist() == expected
+
+
+# twenty short arcs: the mesh stores some of their starts a hair below the
+# start, which must still pin them, turned or not
+SHORT20 = ArcPartition(tuple((0.3 * k, 0.3 * k + 0.001) for k in range(20)))
+
+
+def test_an_angle_a_hair_below_an_arc_start_is_in_the_arc():
+    for a, b in SHORT20.arcs:
+        below = np.nextafter(a, -np.inf)
+        assert arc_index(SHORT20, below) == SHORT20.arc_indices([below])[0] >= 0
+    assert arc_index(PART3, 0.2 - 2 * _ANGLE_TOL) == -1
+
+
+@pytest.mark.parametrize("h", [0.05, 0.01])
+@pytest.mark.parametrize("alpha", [2.31, -1.234, 0.15])
+def test_pinned_count_is_rotation_invariant(h, alpha):
+    counts = [int(np.sum(part.arc_indices(disk_mesh(part, h).boundary_angles) >= 0))
+              for part in (SHORT20, rotated(SHORT20, alpha))]
+    assert counts[0] == counts[1]
+    assert np.all(np.bincount(SHORT20.arc_indices(disk_mesh(SHORT20, h).boundary_angles) + 1,
+                              minlength=21)[1:] >= 2)  # both endpoints of every arc
 
 
 def test_arcs_from_string():
@@ -175,18 +201,28 @@ def test_stitch_matches_the_ring_walk_on_equal_angles(n, m, shared):
     ])[::-1]
     inner_idx, outer_idx = np.arange(n), n + np.arange(m)
     args = (inner_idx, inner_ang, outer_idx, outer_ang, anchor)
-    assert np.array_equal(dnfields._stitch(*args), _stitch_by_walk(*args))
+    assert np.array_equal(stitch(*args), _stitch_by_walk(*args))
 
 
 @pytest.mark.parametrize("h", [0.05, 0.01])
 @pytest.mark.parametrize(
     "part", [PART3, equal_arcs(4), rotated(PART3, 2.31)], ids=["part3", "equal4", "rotated"]
 )
-def test_mesh_triangles_match_the_ring_walk(part, h, monkeypatch):
-    mesh = disk_mesh(part, h)
-    monkeypatch.setattr(dnfields, "_stitch", _stitch_by_walk)
-    walked = disk_mesh(part, h)
-    assert np.array_equal(mesh.triangles, walked.triangles)
+def test_mesh_triangles_match_the_ring_walk(part, h):
+    walked = per_strip_disk_mesh(part, h, _stitch_by_walk)
+    assert np.array_equal(disk_mesh(part, h).triangles, walked.triangles)
+
+
+@pytest.mark.parametrize("h", [0.5, 0.2, 0.1, 0.05, 0.02, 0.01])
+def test_mesh_equals_the_strip_by_strip_stitching(h):
+    parts = [PART3, rotated(PART3, 2.31), SHORT20, rotated(SHORT20, 2.31),
+             ArcPartition(((5.5, 7.0), (1.0, 2.0)))]
+    parts += [equal_arcs(K) for K in (1, 2, 3, 5, 8, 12)]
+    for part in parts:
+        mesh, oracle = disk_mesh(part, h), per_strip_disk_mesh(part, h)
+        for field in dataclasses.fields(DiskMesh):
+            got, want = (np.asarray(getattr(m, field.name)) for m in (mesh, oracle))
+            assert got.dtype == want.dtype and np.array_equal(got, want), field.name
 
 
 def test_mesh_spacing_validation():

@@ -689,11 +689,22 @@ def test_evaluate_takes_exactly_one_point_of_the_forms_dimension():
 GRID_SPACING = {3: (0.125, 0.1, 0.3), 4: (0.125, 0.1, 0.3, 0.5)}
 
 
-def _integer_grid_form(N, q, rng):
-    shape = (5,) * N
+def _integer_grid_form(N, q, rng, first=5):
+    shape = (first,) + (5,) * (N - 1)
     comps = {I: rng.integers(-4, 5, shape) + 1j * rng.integers(-4, 5, shape)
              for I in enumerate_ordered(q, N)}
     return FieldForm.from_grid(N, q, comps, GRID_SPACING[N])
+
+
+def _slab_budgets(monkeypatch, row_bytes):
+    """Set the grid sweeps' slab budget to the default, which takes a small
+    grid in one slab, then to one row and to two rows, which do not divide a
+    first axis of 5: yields the rows per slab, None for the default."""
+    default = exterior._SLAB_BYTES
+    for rows in (None, 1, 2):
+        monkeypatch.setattr(exterior, "_SLAB_BYTES", default if rows is None else rows * row_bytes)
+        yield rows
+    monkeypatch.setattr(exterior, "_SLAB_BYTES", default)
 
 
 def _arrays(form):
@@ -752,24 +763,61 @@ def _assert_components_equal(form, ref):
 
 
 @pytest.mark.parametrize("N", [3, 4])
-def test_grid_operators_match_roll_and_multiply_formulas(N):
+def test_grid_operators_match_roll_and_multiply_formulas(N, monkeypatch):
     rng = np.random.default_rng(100 + N)
-    for q in range(N + 1):
-        a = _integer_grid_form(N, q, rng)
-        b = _integer_grid_form(N, q, rng)
-        c = _arrays(a)
-        _assert_components_equal(hodge(a), _ref_hodge(c, N, q))
-        if q < N:
-            _assert_components_equal(ext_d(a), _ref_ext_d(c, N, q))
-        if q > 0:
-            _assert_components_equal(codiff(a), _ref_codiff(c, N, q))
-            _assert_components_equal(codiff_expansion(a), _ref_codiff_expansion(c, N, q))
-        _assert_components_equal(
-            a - b, {I: c[I] + complex(-1) * b.components[I].values for I in c})
-        _assert_components_equal(-a, {I: complex(-1) * v for I, v in c.items()})
-        for qb in range(N - q + 1):
-            e = _integer_grid_form(N, qb, rng)
-            _assert_components_equal(wedge(a, e), _ref_wedge(c, q, _arrays(e), qb, N))
+    # first axes of 5, 1 and 2 rows, each swept in one slab, by rows, and by two rows
+    for first in (5, 1, 2):
+        for _ in _slab_budgets(monkeypatch, 16 * 5 ** (N - 1)):
+            for q in range(N + 1):
+                a = _integer_grid_form(N, q, rng, first)
+                b = _integer_grid_form(N, q, rng, first)
+                c = _arrays(a)
+                _assert_components_equal(hodge(a), _ref_hodge(c, N, q))
+                if q < N:
+                    _assert_components_equal(ext_d(a), _ref_ext_d(c, N, q))
+                if q > 0:
+                    _assert_components_equal(codiff(a), _ref_codiff(c, N, q))
+                    _assert_components_equal(codiff_expansion(a),
+                                             _ref_codiff_expansion(c, N, q))
+                _assert_components_equal(
+                    a - b, {I: c[I] + complex(-1) * b.components[I].values for I in c})
+                _assert_components_equal(-a, {I: complex(-1) * v for I, v in c.items()})
+                for qb in range(N - q + 1):
+                    e = _integer_grid_form(N, qb, rng, first)
+                    _assert_components_equal(wedge(a, e), _ref_wedge(c, q, _arrays(e), qb, N))
+
+
+@pytest.mark.parametrize("shape", [(5, 4, 3, 4), (1, 4, 3), (2, 3), (7,), (1,), (3, 1, 2),
+                                   (2, 2, 1, 3)])
+def test_grid_partial_on_every_axis_matches_the_roll_formula(shape):
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    spacing = (0.1, 0.3, 0.7, 0.45)[:len(shape)]
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for layout in (values.copy(), np.asfortranarray(values)):
+        g = GridScalar(layout, spacing)
+        for axis in range(1, len(shape) + 1):
+            d = g.partial(axis)
+            assert d.grid == g.grid and not np.shares_memory(d.values, g.values)
+            want = (np.roll(values, -1, axis=axis - 1) - values) / spacing[axis - 1]
+            np.testing.assert_array_equal(d.values, want, strict=True)
+        np.testing.assert_array_equal(g.values, values, strict=True)  # never written
+
+
+def test_point_grid_sums_go_as_signed_copies():
+    # a grid of no axes has no rows to sweep
+    a = FieldForm.from_grid(0, 0, {(): np.array(2.0 + 1j)}, ())
+    b = FieldForm.from_grid(0, 0, {(): np.array(-0.5 + 3j)}, ())
+    out = wedge(a, b).components[()].values
+    assert out.shape == () and out == (2.0 + 1j) * (-0.5 + 3j)
+
+
+def test_grid_negation_flips_exactly_the_complex_signs():
+    values = np.array([[0.0, -0.0, 1.5 - 0.0j], [complex(-0.0, 2.0), np.nan, -np.inf + 1j]])
+    neg = -GridScalar(values, (0.5, 0.25))
+    for got, x in zip(neg.values.ravel(), values.ravel()):
+        for part, ref in ((got.real, x.real), (got.imag, x.imag)):
+            assert np.signbit(part) != np.signbit(ref)
+            assert part == -ref or (np.isnan(part) and np.isnan(ref))
 
 
 def test_grid_scalar_unit_multiples_skip_the_pass():
@@ -960,8 +1008,8 @@ def test_building_dd_tracks_at_most_half_the_objects_of_closure_pairs():
 FLOAT_SPACING = (0.1, 0.3, 0.7, 0.45)
 
 
-def _float_grid_form(N, q, rng, dtype=np.complex128):
-    shape = (5, 4, 3, 4)[:N]
+def _float_grid_form(N, q, rng, dtype=np.complex128, first=5):
+    shape = (first, 4, 3, 4)[:N]
     comps = {I: (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(dtype)
              for I in enumerate_ordered(q, N)}
     return FieldForm.from_grid(N, q, comps, FLOAT_SPACING[:N])
@@ -983,28 +1031,32 @@ def _assert_fresh(result, *operands):
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
-def test_in_place_grid_sums_equal_the_out_of_place_route(N):
+def test_in_place_grid_sums_equal_the_out_of_place_route(N, monkeypatch):
     rng = np.random.default_rng(500 + N)
-    for q in range(N + 1):
-        a = _float_grid_form(N, q, rng)
-        partners = [_float_grid_form(N, r, rng) for r in range(N - q + 1)]
-        before = [v.values.copy() for f in [a] + partners for v in f.components.values()]
-        for op, ref in ((ext_d, out_of_place_ext_d), (codiff, out_of_place_codiff),
-                        (codiff_expansion, out_of_place_codiff_expansion)):
-            out = op(a)
-            _assert_forms_equal(out, ref(a))
-            if op is not codiff:  # codiff's outer hodge shares arrays by design
-                _assert_fresh(out, a)
-        # each hodge sign is a negation or a shared array, so the pair is exact
-        _assert_forms_equal(hodge(hodge(a)), sign_constants(q, N).double_hodge * a)
-        for b in partners:
-            for x, y in ((a, b), (b, a)):
-                out = wedge(x, y)
-                _assert_forms_equal(out, out_of_place_wedge(x, y))
-                _assert_fresh(out, x, y)
-        after = [v.values for f in [a] + partners for v in f.components.values()]
-        for x, y in zip(before, after, strict=True):
-            np.testing.assert_array_equal(x, y, strict=True)
+    # first axes of 5, 1 and 2 rows, each swept in one slab, by rows, and by two rows
+    for first in (5, 1, 2):
+        for _ in _slab_budgets(monkeypatch, 16 * int(np.prod((4, 3, 4)[:N - 1]))):
+            for q in range(N + 1):
+                a = _float_grid_form(N, q, rng, first=first)
+                partners = [_float_grid_form(N, r, rng, first=first) for r in range(N - q + 1)]
+                before = [v.values.copy() for f in [a] + partners
+                          for v in f.components.values()]
+                for op, ref in ((ext_d, out_of_place_ext_d), (codiff, out_of_place_codiff),
+                                (codiff_expansion, out_of_place_codiff_expansion)):
+                    out = op(a)
+                    _assert_forms_equal(out, ref(a))
+                    if op is not codiff:  # codiff's outer hodge shares arrays by design
+                        _assert_fresh(out, a)
+                # each hodge sign is a negation or a shared array, so the pair is exact
+                _assert_forms_equal(hodge(hodge(a)), sign_constants(q, N).double_hodge * a)
+                for b in partners:
+                    for x, y in ((a, b), (b, a)):
+                        out = wedge(x, y)
+                        _assert_forms_equal(out, out_of_place_wedge(x, y))
+                        _assert_fresh(out, x, y)
+                after = [v.values for f in [a] + partners for v in f.components.values()]
+                for x, y in zip(before, after, strict=True):
+                    np.testing.assert_array_equal(x, y, strict=True)
 
 
 def test_grid_sums_of_mixed_dtypes_promote_as_the_out_of_place_route():

@@ -9,6 +9,12 @@ then every file left in the directory.  Run from the repository root:
 
     python3 tools/artifact_diff.py --base /path/to/other/checkout
 
+`identities-float-form` reads `tools/float_form.json`, a 1-form on a (9, 7, 5)
+grid at spacing (0.1, 0.3, 0.7) whose values are normal draws (numpy's
+default_rng(2024)).  On the integer draws of the other identities requests,
+at spacing 0.125, every grid sum is exact, so only a float form shows a
+change of summation order.
+
 One line per request: `identical`, or every file that differs, each with,
 for JSON and CSV, the largest absolute and relative deviation between numbers
 at the same place (or that the structures differ: keys, lengths, CSV headers
@@ -25,11 +31,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ARCS = "0.0:1.5,2.0:3.5,4.0:5.5"
+FLOAT_FORM = ROOT / "tools" / "float_form.json"
 # every subcommand at its default and at one large config, edge cases of the
 # regularity and expand paths, then the round-trips
 REQUESTS = {
     "identities": [["identities"]],
     "identities-large": [["identities", "--N", "4", "--q", "2", "--cells", "24"]],
+    "identities-float-form": [["identities", "--form", str(FLOAT_FORM)]],
     "bessel-zeros": [["bessel-zeros", "--n", "1"]],
     "bessel-zeros-large": [["bessel-zeros", "--n", "60", "--kind", "dfn", "--count", "40",
                             "--format", "json"]],
