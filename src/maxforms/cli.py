@@ -3,13 +3,14 @@
 Each handler imports the modules it runs, so a request loads only those:
 scipy, for one, is loaded by eigen1d, eigen2d and dn-fields alone.  A handler
 computes and returns a `Report`; `main` alone applies the output policy:
---format, --output, --strict and the MAXFORMS_THREADS echo.
+--format, --output, --metadata, --strict and the MAXFORMS_THREADS echo.
 
 Output is machine readable and deterministic: CSV files carry a header row
 and 12 significant digits, JSON documents have exactly the top-level keys
 config / results / residuals with sorted keys and no timestamps, so identical
-configurations give byte-identical artifacts.  With --strict a residual above
-its gate turns into exit code 1; invalid parameters exit 2.
+configurations give byte-identical artifacts.  A handler declares its gates,
+(value, bound) pairs; with --strict `main` exits 1 unless every value <= bound,
+so a NaN fails.  Invalid parameters exit 2.
 """
 
 import argparse
@@ -35,14 +36,14 @@ class Report:
 
     config, results and residuals make the JSON document; table is the CSV
     form of the results, (header, columns), for the subcommands that offer
-    CSV; failed says a residual is above its gate, which --strict turns into
-    exit code 1.
+    CSV; gates holds (value, bound) pairs, and --strict exits 1 unless every
+    value <= bound, which a NaN never is.
     """
 
     config: dict
     results: dict
     residuals: dict
-    failed: bool = False
+    gates: tuple = ()
     table: tuple | None = None
 
 
@@ -129,7 +130,7 @@ def _add_io(sp, formats, default):
                     help="artifact path, '-' for stdout (default)")
     sp.add_argument("--format", choices=list(formats), default=default)
     sp.add_argument("--strict", action="store_true",
-                    help="exit 1 when a residual exceeds its gate")
+                    help="exit 1 unless every gated value is at or below its bound")
 
 
 def _grid_pair(text: str):
@@ -154,6 +155,8 @@ def _order_list(text: str):
         raise argparse.ArgumentTypeError("orders must be a comma-separated integer list") from None
     if not orders or any(n < 1 for n in orders):
         raise argparse.ArgumentTypeError("orders must be positive integers")
+    if len(set(orders)) < len(orders):
+        raise argparse.ArgumentTypeError("orders must not repeat")
     return orders
 
 
@@ -171,7 +174,7 @@ def _run_bessel_zeros(args) -> Report:
         {"count": args.count, "kind": args.kind, "n": args.n},
         {"m": list(range(1, args.count + 1)), "zero": table.zeros},
         {"max_abs_value_at_zero": worst},
-        failed=worst > 1e-10,
+        gates=((worst, 1e-10),),
         table=(("m", "zero", "residual"), (m, table.zeros, table.residuals)),
     )
 
@@ -192,7 +195,7 @@ def _run_eigen1d(args) -> Report:
         {"grid": args.grid, "modes": args.modes},
         {"lambda_exact": exact, "lambda_fd": solve.lambdas},
         {"abs_err_max": float(np.max(abs_err)), "solver_drift": drift},
-        failed=drift > 1e-9 * max(1.0, float(closed[-1])),
+        gates=((drift, 1e-9 * max(1.0, float(closed[-1]))),),
         table=(("k", "lambda_fd", "lambda_exact", "abs_err"),
                (ks, solve.lambdas, exact, abs_err)),
     )
@@ -230,16 +233,13 @@ def _run_eigen2d(args) -> Report:
         )
     ]
     header = ("rank", "lambda_num", "lambda_bessel", "rel_err", "route")
-    report = Report(
+    return Report(
         {"grid": list(args.grid), "modes": args.modes, "q": args.q},
         {"modes": rows},
         {"rel_err_max": worst},
-        failed=worst > 0.01,
+        gates=((worst, 0.01),),
         table=(header, [[row[k] for row in rows] for k in header]),
     )
-    if args.metadata:
-        _emit(args.metadata, _json(report))
-    return report
 
 
 def _run_dn_fields(args) -> Report:
@@ -251,6 +251,9 @@ def _run_dn_fields(args) -> Report:
     ones = np.ones(partition.count)
     scale = max(float(report.singular_values[0]), 1.0)
     kernel = float(np.max(np.abs(basis.gram @ ones))) / scale
+    gates = [(float(report.rank != partition.count - 1), 0.0)]
+    if partition.count > 1:  # acceptance 08: a spectral gap of at least 1e6
+        gates.append((1e6 / report.gap, 1.0))
     return Report(
         {"arcs": [[a, b] for a, b in partition.arcs], "h": args.h},
         {
@@ -260,9 +263,7 @@ def _run_dn_fields(args) -> Report:
             "rank": report.rank,
         },
         {"constant_kernel": kernel, "solve_max": float(np.max(basis.residuals))},
-        failed=report.rank != partition.count - 1 or (
-            partition.count > 1 and report.gap < 1e6
-        ),
+        gates=tuple(gates),
     )
 
 
@@ -334,7 +335,7 @@ def _max_modulus(pairs, combine=None) -> float:
                 rows = combine(rows, y[lo:hi], out=buf[:hi - lo])
             maxima.append(np.max(np.abs(rows, out=mod[:hi - lo])))
         vals.append(np.max(maxima))
-    return float(max(vals)) if vals else 0.0
+    return float(np.max(vals, initial=0.0))
 
 
 def _form_max(form) -> float:
@@ -410,7 +411,7 @@ def _run_identities(args) -> Report:
         {"N": N, "q": q, "seed": None if args.form else args.seed, "source": source},
         {"component_count": len(a.components), "grid_shape": list(some.grid.shape)},
         residuals,
-        failed=max(residuals.values()) > 1e-8,
+        gates=tuple((value, 1e-8) for value in residuals.values()),
     )
 
 
@@ -475,13 +476,10 @@ def _run_expand(args) -> Report:
              "source": "eigenform"}
         )
 
-    cross = 0.0
+    residuals = {}
     if own is not None:
-        for rows in coeffs.families.values():
-            for i, n in enumerate(orders):
-                if n != own:
-                    cross = max(cross, float(np.max(np.abs(rows[i]))))
-    residuals = {} if own is None else {"cross_coefficient_max": cross}
+        rows = np.stack(list(coeffs.families.values()))[:, np.asarray(orders) != own]
+        residuals["cross_coefficient_max"] = float(np.max(np.abs(rows), initial=0.0))
 
     letters = sorted(coeffs.families)
     values = np.concatenate([coeffs.families[letter] for letter in letters]).ravel()
@@ -503,7 +501,7 @@ def _run_expand(args) -> Report:
         config,
         {"angular_nodes": coeffs.M_phi, "families": families, "nodes": r},
         residuals,
-        failed=cross > 1e-8,
+        gates=tuple((value, 1e-8) for value in residuals.values()),
         table=(("family", "order", "r", "re", "im"), columns),
     )
 
@@ -624,6 +622,8 @@ def main(argv=None) -> int:
     try:
         _threads()  # an invalid value fails before any work
         report = args.handler(args)
+        if getattr(args, "metadata", None):
+            _emit(args.metadata, _json(report))
         text = _csv(*report.table) if args.format == "csv" else _json(report)
         _emit(args.output, text)
     except (ValueError, OSError) as exc:
@@ -635,7 +635,7 @@ def main(argv=None) -> int:
         print(f"maxforms: {args.command}: out of memory: the request's dominant size is "
               f"{_DOMINANT_SIZE[args.command](args)}{refused}", file=sys.stderr)
         return 3
-    return 1 if args.strict and report.failed else 0
+    return 1 if args.strict and not all(value <= bound for value, bound in report.gates) else 0
 
 
 if __name__ == "__main__":

@@ -14,8 +14,11 @@ What depends only on an eigenform's label (q, n, m, role) and on fixed
 quadrature rules is built once per process (maxforms._kept lists the stores):
 one immutable mode per valid label, its Cartesian components and field form,
 and each PolarScalar's Cartesian partials, leading exponent and the angular
-reductions its consumers take.  Radial values are computed per request, so no
-request's numeric result is cached.
+reductions its consumers take.  Radial factor values at sample points are
+computed per request (_LAST_BATCH holds only the last point batch).  The
+discrete routes keep every radial eigenvalue they draw in _RADIAL_VALUES, one
+key per operator and index; each value is canonical, so a warm store changes
+no result, only which draws bisect.
 
 The discrete side has two routes: a finite-volume radial solver per angular
 order, and a two-dimensional mixed-boundary tensor solve, which the fast

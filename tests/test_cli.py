@@ -2,6 +2,8 @@
 
 import argparse
 import csv
+import dataclasses
+import importlib
 import io
 import json
 import math
@@ -213,9 +215,9 @@ def test_generated_grid_form_serializes_as_the_summed_draws(N, q, cells, seed):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_difference_max_equals_the_max_of_the_difference_form(sign, monkeypatch):
     # float values at a non-dyadic spacing, so no difference is exactly zero; a
-    # NaN in a later component and an infinity in another keep their effect,
-    # whether a component is reduced in one slab, entry by entry, or in slabs
-    # of 7 entries, which do not divide its 60
+    # NaN in a later component wins over an infinity in another, whether a
+    # component is reduced in one slab, entry by entry, or in slabs of 7
+    # entries, which do not divide its 60
     rng = np.random.default_rng(11)
     shape, spacing = (5, 4, 3), (0.1, 0.3, 0.7)
 
@@ -226,10 +228,7 @@ def test_difference_max_equals_the_max_of_the_difference_form(sign, monkeypatch)
 
     def whole_array_max(X, Y):
         pairs = ((X.components[k].values, Y.components[k].values) for k in X.components)
-        return max(float(np.max(np.abs(x - y if sign == 1 else x + y))) for x, y in pairs)
-
-    def same(got, want):
-        return got == want or (math.isnan(got) and math.isnan(want))
+        return float(np.max([np.max(np.abs(x - y if sign == 1 else x + y)) for x, y in pairs]))
 
     for budget in (exterior._SLAB_BYTES, 1, 7 * 16):
         monkeypatch.setattr(exterior, "_SLAB_BYTES", budget)
@@ -238,11 +237,95 @@ def test_difference_max_equals_the_max_of_the_difference_form(sign, monkeypatch)
         assert cli._difference_max(X, Y, sign) == whole_array_max(X, Y)
         X.components[(2,)].values[1, 2, 0] = np.nan
         Y.components[(3,)].values[0, 0, 2] = np.inf
-        got = cli._difference_max(X, Y, sign)
-        assert same(got, cli._form_max(X - sign * Y)) and same(got, whole_array_max(X, Y))
+        assert math.isnan(cli._difference_max(X, Y, sign))
+        assert math.isnan(cli._form_max(X - sign * Y)) and math.isnan(whole_array_max(X, Y))
         # the slab holding the NaN gives NaN, and so does the component
         one = exterior.FieldForm.from_grid(3, 0, {(): X.components[(2,)].values}, spacing)
         assert math.isnan(cli._form_max(one))
+
+
+@pytest.mark.parametrize("q,N", [(1, 3), (2, 4)])
+def test_form_max_reads_nan_whichever_component_holds_it(q, N):
+    # an infinity in the first component, and a NaN in each component in turn
+    keys = cli.enumerate_ordered(q, N)
+    for holder in keys:
+        comps = {k: np.ones((3,) * N, dtype=np.complex128) for k in keys}
+        comps[keys[0]][0] = np.inf
+        comps[holder][(1,) * N] = np.nan
+        form = exterior.FieldForm.from_grid(N, q, comps, (0.5,) * N)
+        assert math.isnan(cli._form_max(form))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_overflowing_stored_form_fails_strict_with_null_residuals(tmp_path, capsys):
+    # a 0-form whose entries alternate +-1e308: ext_d overflows to inf, so
+    # d(d a) and the wedge difference hold inf - inf = NaN
+    i, j = np.indices((6, 6))
+    values = np.where((i + j) % 2 == 0, 1e308, -1e308).astype(np.complex128)
+    path = tmp_path / "form.json"
+    path.write_text(exterior.grid_form_to_json(
+        exterior.FieldForm.from_grid(2, 0, {(): values}, (0.5, 0.5))))
+    code, out = run(["identities", "--form", str(path)], capsys)
+    residuals = json.loads(out)["residuals"]
+    assert code == 0
+    assert residuals["dd_max"] is None and residuals["wedge_anticommute_max"] is None
+    assert run(["identities", "--form", str(path), "--strict"], capsys) == (1, out)
+
+
+def _nan_last(values):
+    """A copy of an array with a NaN in its last entry."""
+    out = np.array(values)
+    out.reshape(-1)[-1] = np.nan
+    return out
+
+
+def _nan_in_last_component(form):
+    form.components[max(form.components)].values.reshape(-1)[-1] = np.nan
+    return form
+
+
+# per gated subcommand: a passing request, and a library result that the
+# monkeypatch gives a NaN, so that the gate's value reads NaN
+_NAN_GATES = {
+    "bessel-zeros": (["bessel-zeros", "--n", "1", "--count", "3"], "bessel", "zeros_j",
+                     lambda t: dataclasses.replace(t, residuals=_nan_last(t.residuals))),
+    "eigen1d": (["eigen1d", "--modes", "4", "--grid", "64"], "spectrum1d", "fd_eigensolve",
+                lambda s: dataclasses.replace(s, lambdas=_nan_last(s.lambdas))),
+    "eigen2d": (["eigen2d", "--q", "1", "--modes", "4", "--grid", "64,16"], "spectrum2d",
+                "radial_spectrum", _nan_last),
+    "dn-fields": (["dn-fields", "--arcs", "0.5:2.5,3.5:5.5", "--h", "0.2"], "dnfields",
+                  "dimension_check", lambda r: dataclasses.replace(r, gap=math.nan)),
+    "identities": (["identities", "--N", "3", "--q", "2"], "exterior", "codiff",
+                   _nan_in_last_component),
+    # the NaN lands in order 4's row, a cross order of the n = 1 eigenform
+    "expand": (["expand", "--q", "0", "--n", "1", "--m", "1", "--radial-cells", "12"],
+               "spectrum2d", "extract_coefficients",
+               lambda c: dataclasses.replace(
+                   c, families={k: _nan_last(v) for k, v in c.families.items()})),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NAN_GATES))
+def test_a_nan_gate_value_fails_strict(command, monkeypatch, capsys):
+    argv, module, name, spoil = _NAN_GATES[command]
+    assert run([*argv, "--strict"], capsys)[0] == 0
+    library = importlib.import_module(f"maxforms.{module}")
+    honest = getattr(library, name)
+    monkeypatch.setattr(library, name, lambda *a, **k: spoil(honest(*a, **k)))
+    assert run(argv, capsys)[0] == 0
+    assert run([*argv, "--strict"], capsys)[0] == 1
+
+
+def test_regularity_has_no_gate(monkeypatch, capsys):
+    from maxforms import regularity
+
+    argv = ["regularity", "--q", "0", "--n", "1", "--m", "1", "--strict"]
+    assert run(argv, capsys)[0] == 0
+    honest = regularity.classify
+    monkeypatch.setattr(regularity, "classify",
+                        lambda *a, **k: dataclasses.replace(honest(*a, **k), slope=math.nan))
+    code, out = run(argv, capsys)
+    assert code == 0 and json.loads(out)["residuals"]["slope_deviation"] is None
 
 
 def test_identities_checks_stored_forms_on_any_grid(tmp_path, capsys):
@@ -496,6 +579,7 @@ def test_malformed_grid_exits_2(capsys):
     ("0", "orders must be positive integers"),
     ("1,-2", "orders must be positive integers"),
     ("1,x", "orders must be a comma-separated integer list"),
+    ("1,1", "orders must not repeat"),
 ])
 def test_malformed_orders_exit_2_with_the_reason(orders, reason, capsys):
     with pytest.raises(SystemExit) as err:

@@ -80,6 +80,13 @@ REQUESTS = {
         ["eigen1d", "--output", "{dir}/eigen1d.csv"],
         ["regularity", "--q", "1", "--n", "1", "--m", "2", "--output", "{dir}/reg.json"],
     ],
+    # every subcommand at its default under --strict: each exits 0, so a gate
+    # that stops passing shows as a changed exit code
+    "strict-defaults": [[*argv, "--strict"] for argv in (
+        ["identities"], ["bessel-zeros", "--n", "1"], ["eigen1d"], ["eigen2d"],
+        ["eigen2d", "--q", "1"], ["dn-fields", "--arcs", ARCS],
+        ["expand", "--q", "0", "--n", "1", "--m", "1"],
+        ["regularity", "--q", "0", "--n", "1", "--m", "1"])],
 }
 
 
